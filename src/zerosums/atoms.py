@@ -1,10 +1,13 @@
 """Catalogs of atoms (minimal zero-sum multisets) and zero-sum-free maxima.
 
 Atoms are enumerated depth-first over nondecreasing element sequences. A
-prefix is kept only while zero-sum-free, which is tracked by the vector of
-subset-sum counts; appending the negation of the running sum closes an atom.
-Generation in canonical order makes deduplication free and file output
-bit-reproducible.
+prefix is kept only while zero-sum-free. Its subset sums are tracked as a
+support bitmask over element codes (``GroupTable.translate``): appending e
+keeps the prefix zero-sum-free exactly when -e is not a subset sum, and the
+new support is supp | (supp + e). Appending the negation of the running sum
+closes an atom. Generation in canonical order makes deduplication free and
+file output bit-reproducible. Cross numbers are summed as integers scaled by
+exp(G) (``cross_weights``) and become a Fraction once, for the result.
 """
 
 from __future__ import annotations
@@ -87,11 +90,9 @@ def enumerate_atoms(
     table = group_table(group)
     add = table.add
     neg = table.neg
+    elements = table.elements
+    translate = table.translate
     total = 0
-
-    # cnt[g] = number of subsets of the current prefix summing to g.
-    cnt = [0] * n
-    cnt[0] = 1
     prefix: list[int] = []
 
     def emit(codes: list[int]) -> None:
@@ -99,27 +100,28 @@ def enumerate_atoms(
         total += 1
         if total > cap:
             raise ResourceLimitError(f"atom catalog exceeds {cap} entries")
-        atom = tuple(table.decode(c) for c in codes)
+        atom = tuple([elements[c] for c in codes])
         found.setdefault(len(atom), []).append(atom)
 
-    def dfs(start: int, running: int, cnt: list[int]) -> None:
+    # supp = subset sums of the current prefix, as a mask over codes.
+    def dfs(start: int, running: int, supp: int) -> None:
         depth = len(prefix)
         want = neg[running]
+        extend = depth + 1 <= max_len - 1
         for e in range(start, n):
             if e == want and want != 0 and depth + 1 >= 2:
                 emit(prefix + [e])
-            if depth + 1 <= max_len - 1 and cnt[neg[e]] == 0:
-                nxt = cnt[:]
-                row = add
-                for x in range(n):
-                    v = cnt[x]
-                    if v:
-                        nxt[row[x][e]] += v
+            if extend and not (supp >> neg[e]) & 1:
                 prefix.append(e)
-                dfs(e, add[running][e], nxt)
+                dfs(e, add[running][e], supp | translate(supp, e))
                 prefix.pop()
 
-    dfs(1, 0, cnt)
+    try:
+        dfs(1, 0, 1)
+    finally:
+        # dfs holds itself through its closure; dropping the name frees the
+        # cycle, and the group table it holds, without waiting for the GC.
+        del dfs
 
     atoms_by_length = tuple(
         (l, tuple(sorted(found[l]))) for l in sorted(found)
@@ -170,11 +172,12 @@ def max_zero_sum_free_cross(
             f"catalog for {group} enumerated only up to length "
             f"{catalog.max_length_enumerated}"
         )
-    best = Fraction(0)
+    weight = cross_weights(group)
+    best = 0
     best_witness: tuple[Element, ...] = ()
     for atom in catalog.atoms():
-        unit = [Fraction(1, group.element_order(el)) for el in atom]
-        total = sum(unit, Fraction(0))
+        unit = [weight[el] for el in atom]
+        total = sum(unit)
         seen: set[Element] = set()
         for i, el in enumerate(atom):
             if el in seen:
@@ -190,7 +193,14 @@ def max_zero_sum_free_cross(
     ms = IndexedMultiset.from_elements(
         group, best_witness, max_size=len(best_witness)
     )
-    return best, ms
+    return Fraction(best, group.exponent), ms
+
+
+def cross_weights(group: FiniteAbelianGroup) -> dict[Element, int]:
+    """exp(G) // ord(g) per element: cross numbers scaled to integers."""
+    table = group_table(group)
+    exp = group.exponent
+    return {el: exp // o for el, o in zip(table.elements, table.order)}
 
 
 # -- persistence --------------------------------------------------------------
@@ -211,8 +221,10 @@ def serialize_catalog(catalog: AtomCatalog) -> str:
 
 
 def parse_catalog(text: str) -> AtomCatalog:
+    if not text.endswith("\n"):
+        raise DomainError("truncated atom catalog")
     lines = text.splitlines()
-    if not lines or lines[0] != CATALOG_FORMAT:
+    if lines[0] != CATALOG_FORMAT:
         raise DomainError("unrecognized atom catalog format")
     header: dict[str, str] = {}
     for line in lines[1:5]:

@@ -2,7 +2,10 @@
 
 The cache directory comes from the ZEROSUMS_CACHE_DIR environment variable
 unless a path is given explicitly; with no directory, caching is off.
-Records are written bit-reproducibly for a fixed format version.
+Records are written bit-reproducibly for a fixed format version, and
+atomically: a reader sees the old file or the new one, never a partial one.
+A file that does not decode counts as a miss, so it is recomputed and
+rewritten.
 """
 
 from __future__ import annotations
@@ -48,14 +51,17 @@ class ResultCache:
         path = self._record_path(group_key, invariant)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            return None
+        return record if isinstance(record, dict) else None
 
     def put_record(self, record: dict) -> None:
         if self.root is None:
             return
         path = self._record_path(record["group_key"], record["invariant"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dump_record(record), encoding="utf-8")
+        _write_atomic(path, dump_record(record))
 
     # -- atom catalogs ------------------------------------------------------
 
@@ -72,7 +78,10 @@ class ResultCache:
         path = self._catalog_path(group, max_len)
         if not path.exists():
             return None
-        catalog = parse_catalog(path.read_text(encoding="utf-8"))
+        try:
+            catalog = parse_catalog(path.read_text(encoding="utf-8"))
+        except (KeyError, ValueError):  # DomainError and decode errors included
+            return None
         if catalog.group != group:
             return None
         return catalog
@@ -81,8 +90,7 @@ class ResultCache:
         if self.root is None:
             return
         path = self._catalog_path(catalog.group, catalog.max_length_enumerated)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(serialize_catalog(catalog), encoding="utf-8")
+        _write_atomic(path, serialize_catalog(catalog))
 
     def catalog(self, group: FiniteAbelianGroup, max_len: int) -> AtomCatalog:
         key = (group, max_len)
@@ -99,3 +107,15 @@ class ResultCache:
 def dump_record(record: dict) -> str:
     """Canonical serialized form of a structured record."""
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory and os.replace."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

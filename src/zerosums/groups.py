@@ -423,9 +423,15 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 
 
 class GroupTable:
-    """Element codes 0..|G|-1 in canonical order with dense add/neg tables."""
+    """Element codes 0..|G|-1 in canonical order with dense add/neg tables.
 
-    __slots__ = ("group", "n", "elements", "code", "add", "neg", "order")
+    A subset of the group is an int bitmask over codes (bit c for element c).
+    ``translate``, ``minkowski`` and ``sumset`` on such masks form the
+    subset-sum-support primitive of the atom and unique-factorization
+    searches.
+    """
+
+    __slots__ = ("group", "n", "elements", "code", "add", "neg", "order", "_shift")
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
@@ -446,12 +452,58 @@ class GroupTable:
         )
         self.neg = tuple(enc(group.neg(a)) for a in self.elements)
         self.order = tuple(group.element_order(a) for a in self.elements)
+        self._shift: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     def encode(self, g: Element) -> int:
         return self.code[g]
 
     def decode(self, c: int) -> Element:
         return self.elements[c]
+
+    def shift_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per-byte translation tables, built on first use.
+
+        ``shift_tables()[g][k][b]`` is the mask of x + g over the codes x set
+        in ``b << 8 * k``, so a translate costs one lookup per mask byte. The
+        last table is shorter when 8 does not divide |G|; masks hold no bit
+        at or above |G|.
+        """
+        if self._shift is None:
+            n, add = self.n, self.add
+            tables = []
+            for g in range(n):
+                per_byte = []
+                for base in range(0, n, 8):
+                    lut = [0]
+                    for x in range(base, min(base + 8, n)):
+                        bit = 1 << add[x][g]
+                        lut += [v | bit for v in lut]
+                    per_byte.append(tuple(lut))
+                tables.append(tuple(per_byte))
+            self._shift = tuple(tables)
+        return self._shift
+
+    def translate(self, mask: int, g: int) -> int:
+        """The set mask + g."""
+        out = 0
+        for lut in (self._shift or self.shift_tables())[g]:
+            out |= lut[mask & 0xFF]
+            mask >>= 8
+        return out
+
+    def minkowski(self, mask: int, codes: Iterable[int]) -> int:
+        """The Minkowski sum of mask with the subset sums of codes."""
+        shift = self._shift or self.shift_tables()
+        for g in codes:
+            m = mask
+            for lut in shift[g]:
+                mask |= lut[m & 0xFF]
+                m >>= 8
+        return mask
+
+    def sumset(self, codes: Iterable[int]) -> int:
+        """Subset sums of the sequence codes, the empty sum 0 included."""
+        return self.minkowski(1, codes)
 
 
 @lru_cache(maxsize=None)

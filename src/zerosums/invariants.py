@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from . import config, constructions
-from .atoms import AtomCatalog, atom_catalog
+from .atoms import AtomCatalog, atom_catalog, cross_weights
 from .cache import ResultCache
 from .errors import (
     ConstraintInapplicableError,
@@ -153,7 +153,10 @@ def _cached(
     record = cache.get_record(group.key, invariant)
     if record is None or record.get("incomplete"):
         return None
-    result = from_record(group, record)
+    try:
+        result = from_record(group, record)
+    except (KeyError, TypeError, ValueError):  # malformed record: a miss
+        return None
     result.provenance = "cached"
     return result
 
@@ -223,12 +226,11 @@ def big_cross_K(
         return got
     catalog = _catalog_for(group, cache)
     stats = SearchStats(nodes=catalog.count)
-    best = Fraction(0)
+    weight = cross_weights(group)
+    best = 0
     best_atom: tuple[Element, ...] | None = None
     for atom in catalog.atoms():
-        value = sum(
-            (Fraction(1, group.element_order(el)) for el in atom), Fraction(0)
-        )
+        value = sum(weight[el] for el in atom)
         if best_atom is None or value > best or (value == best and atom < best_atom):
             best = value
             best_atom = atom
@@ -237,7 +239,9 @@ def big_cross_K(
         if best_atom is not None
         else None
     )
-    result = InvariantResult(group, "K", best, witness, stats, "computed")
+    result = InvariantResult(
+        group, "K", Fraction(best, group.exponent), witness, stats, "computed"
+    )
     _store(result, cache)
     return result
 

@@ -1,16 +1,24 @@
 """Branch-and-bound maximization over unions of atoms with unique factorization.
 
-Candidates are nondecreasing sequences of catalog atoms. The union of the
-chosen blocks is accepted exactly when its zero-sum subsets are the unions of
-blocks, i.e. when the subset-sum count at zero equals 2^m after the m-th
-block; the count vector is maintained incrementally, so a union is rejected
-as soon as a zero-sum subset crosses block boundaries. Pruning uses the
-product bound (block sizes multiply to at most |G|), the block-count bound,
-and an optimistic value bound against the incumbent.
+Candidates are nondecreasing sequences of catalog atoms. The search keeps the
+support of a union S, the set of its subset sums, as an int bitmask over
+element codes (``GroupTable.minkowski``). When S has unique factorization,
+its zero-sum subsets are the unions of its blocks. Adding an atom A keeps
+that property unless some T in S and proper nonempty U in A have
+sum(T) = -sum(U). The proper nonempty subset sums P of A satisfy P = -P
+(complements sum to minus each other, as A sums to zero) and 0 is not in P
+(A is minimal). So A crosses a block boundary exactly when supp(S) meets P:
+one AND against a mask precomputed per atom. The support itself is updated
+only on accepted nodes. Pruning uses the product bound (block sizes multiply
+to at most |G|), the block-count bound, and an optimistic value bound
+against the incumbent. Measures are integers, cross numbers scaled by
+exp(G); the value becomes a Fraction once, in the outcome.
 
 Results are deterministic for any worker count: each root branch (choice of
 first atom) is explored with its own incumbent seeded from the caller's
-floor, and branch outcomes merge by (value, canonically least witness).
+floor, and branch outcomes merge by (value, canonically least witness). A
+node budget is spent by the branches serially in order, so a node-budgeted
+run gives the same outcome for every worker count.
 """
 
 from __future__ import annotations
@@ -20,10 +28,11 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
-from .atoms import AtomCatalog
-from .groups import FiniteAbelianGroup, group_table
+from .atoms import AtomCatalog, cross_weights
+from .errors import DomainError
+from .groups import FiniteAbelianGroup, GroupTable, group_table
 
 
 @dataclass
@@ -51,39 +60,24 @@ class _BudgetHit(Exception):
     pass
 
 
-@dataclass
-class _AtomEntry:
-    codes: tuple[int, ...]
-    length: int
-    measure: Fraction
-
-
 def _entries(
-    group: FiniteAbelianGroup, catalog: AtomCatalog, kind: Literal["cross", "size"]
-) -> list[_AtomEntry]:
-    table = group_table(group)
-    out = []
+    table: GroupTable, catalog: AtomCatalog, kind: Literal["cross", "size"]
+) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int]]:
+    """Per atom in (length, codes) order: length, codes, integer measure, and
+    the mask of its proper nonempty subset sums."""
+    code = table.code
+    weight = cross_weights(table.group) if kind == "cross" else None
+    rows = []
     for atom in catalog.atoms():
-        codes = tuple(table.encode(el) for el in atom)
-        if kind == "cross":
-            measure = sum(
-                (Fraction(1, table.order[c]) for c in codes), Fraction(0)
-            )
+        codes = tuple([code[el] for el in atom])
+        if weight is None:
+            measure = len(atom)
         else:
-            measure = Fraction(len(codes))
-        out.append(_AtomEntry(codes, len(codes), measure))
-    out.sort(key=lambda e: (e.length, e.codes))
-    return out
-
-
-def _extend_counts(cnt: list[int], codes: Sequence[int], add) -> list[int]:
-    for c in codes:
-        prev = cnt
-        cnt = prev[:]
-        for x, v in enumerate(prev):
-            if v:
-                cnt[add[x][c]] += v
-    return cnt
+            measure = sum([weight[el] for el in atom])
+        rows.append((len(atom), codes, measure, table.sumset(codes) & ~1))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    lengths, codes, measures, crossers = (list(col) for col in zip(*rows))
+    return lengths, codes, measures, crossers
 
 
 class _BudgetState:
@@ -124,89 +118,100 @@ def maximize_over_ufims(
         return SearchOutcome(floor_value, floor_witness_codes, stats)
 
     table = group_table(group)
-    add = table.add
-    entries = _entries(group, catalog, kind)
+    scale = group.exponent if kind == "cross" else 1
+    scaled_floor = Fraction(floor_value) * scale
+    if scaled_floor.denominator != 1:
+        raise DomainError(
+            f"floor value {floor_value} is not a multiple of 1/{scale}"
+        )
+    floor = scaled_floor.numerator
+    lengths, codes, measures, crossers = _entries(table, catalog, kind)
+    count = len(lengths)
+    minkowski = table.minkowski
     m_cap = n.bit_length() - 1
-    suffix_max = [Fraction(0)] * (len(entries) + 1)
-    for i in range(len(entries) - 1, -1, -1):
-        suffix_max[i] = max(entries[i].measure, suffix_max[i + 1])
+    suffix_max = [0] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        suffix_max[i] = max(measures[i], suffix_max[i + 1])
     budget_state = _BudgetState(budget)
+    spend = budget_state.spend
+    budgeted = budget is not None
 
-    def run_branch(first: int) -> tuple[Fraction, tuple[int, ...], SearchStats, bool]:
-        local = SearchStats()
-        best_value = floor_value
+    def run_branch(
+        first: int,
+    ) -> tuple[int, tuple[int, ...], tuple[int, int, int, int], bool]:
+        nodes = crossing = product = bound = 0
+        best_value = floor
         best_witness = tuple(sorted(floor_witness_codes))
         chosen: list[int] = []
 
-        def consider(value: Fraction) -> None:
+        def accept(j: int, m: int, prod: int, value: int, supp: int):
+            """Take atom j as block m + 1 and search the extensions."""
             nonlocal best_value, best_witness
-            if value < best_value:
-                return
-            witness = tuple(sorted(chosen))
-            if value > best_value or witness < best_witness:
-                best_value = value
-                best_witness = witness
+            block = codes[j]
+            chosen.extend(block)
+            value += measures[j]
+            if value >= best_value:
+                witness = tuple(sorted(chosen))
+                if value > best_value or witness < best_witness:
+                    best_value = value
+                    best_witness = witness
+            dfs(j, m + 1, prod * lengths[j], value, minkowski(supp, block))
+            del chosen[-len(block) :]
 
-        def dfs(min_idx: int, m: int, prod: int, value: Fraction, cnt: list[int]):
+        def dfs(min_idx: int, m: int, prod: int, value: int, supp: int):
+            nonlocal nodes, crossing, product, bound
             slots = min(m_cap - m, (n // prod).bit_length() - 1)
             if slots <= 0:
                 return
             if value + slots * suffix_max[min_idx] < best_value:
-                local.prunes["bound"] += 1
+                bound += 1
                 return
-            for j in range(min_idx, len(entries)):
-                entry = entries[j]
-                new_prod = prod * entry.length
-                if new_prod > n:
-                    local.prunes["product"] += 1
+            for j in range(min_idx, count):
+                if prod * lengths[j] > n:
+                    product += 1
                     break
-                nxt = _extend_counts(cnt, entry.codes, add)
-                budget_state.spend()
-                local.nodes += 1
-                if nxt[0] != 1 << (m + 1):
-                    local.prunes["crossing"] += 1
+                if budgeted:
+                    spend()
+                nodes += 1
+                if supp & crossers[j]:
+                    crossing += 1
                     continue
-                chosen.extend(entry.codes)
-                consider(value + entry.measure)
-                dfs(j, m + 1, new_prod, value + entry.measure, nxt)
-                del chosen[len(chosen) - entry.length :]
+                accept(j, m, prod, value, supp)
 
         finished = True
         try:
-            root = [0] * n
-            root[0] = 1
-            entry = entries[first]
-            nxt = _extend_counts(root, entry.codes, add)
-            budget_state.spend()
-            local.nodes += 1
-            if nxt[0] != 2:
-                local.prunes["crossing"] += 1
-            else:
-                chosen.extend(entry.codes)
-                consider(entry.measure)
-                dfs(first, 1, entry.length, entry.measure, nxt)
+            spend()
+            nodes += 1  # a single atom always has unique factorization
+            accept(first, 0, 1, 0, 1)
         except _BudgetHit:
             finished = False
-        return best_value, best_witness, local, finished
+        # accept and dfs hold each other through their closures; dropping
+        # the names frees the cycle, and the tables it holds, at once.
+        del accept, dfs
+        return best_value, best_witness, (nodes, crossing, product, bound), finished
 
-    branches = range(len(entries))
-    if workers <= 1:
+    branches = range(count)
+    if workers <= 1 or budget_state.nodes_left is not None:
         results = [run_branch(i) for i in branches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_branch, branches))
 
-    best_value = floor_value
+    best_value = floor
     best_witness = tuple(sorted(floor_witness_codes))
-    for value, witness, local, ok in results:
-        stats.nodes += local.nodes
-        stats.prunes.update(local.prunes)
+    totals = [0, 0, 0, 0]
+    for value, witness, counts, ok in results:
+        totals = [t + c for t, c in zip(totals, counts)]
         stats.complete = stats.complete and ok
         if value > best_value or (value == best_value and witness < best_witness):
             best_value = value
             best_witness = witness
+    stats.nodes = totals[0]
+    stats.prunes.update(
+        {k: v for k, v in zip(("crossing", "product", "bound"), totals[1:]) if v}
+    )
     stats.millis = int((time.perf_counter() - start) * 1000)
-    return SearchOutcome(best_value, best_witness, stats)
+    return SearchOutcome(Fraction(best_value, scale), best_witness, stats)
 
 
 def iter_ufims(
@@ -224,29 +229,24 @@ def iter_ufims(
     if n == 1 or catalog.count == 0:
         return
     table = group_table(group)
-    add = table.add
-    entries = _entries(group, catalog, "size")
+    lengths, codes, _, crossers = _entries(table, catalog, "size")
     m_cap = n.bit_length() - 1
     if max_blocks is not None:
         m_cap = min(m_cap, max_blocks)
 
     blocks: list[tuple[int, ...]] = []
 
-    def dfs(min_idx: int, m: int, prod: int, cnt: list[int]):
-        for j in range(min_idx, len(entries)):
-            entry = entries[j]
-            new_prod = prod * entry.length
+    def dfs(min_idx: int, m: int, prod: int, supp: int):
+        for j in range(min_idx, len(lengths)):
+            new_prod = prod * lengths[j]
             if new_prod > n:
                 break
-            nxt = _extend_counts(cnt, entry.codes, add)
-            if nxt[0] != 1 << (m + 1):
+            if supp & crossers[j]:
                 continue
-            blocks.append(entry.codes)
+            blocks.append(codes[j])
             yield tuple(blocks)
             if m + 1 < m_cap:
-                yield from dfs(j, m + 1, new_prod, nxt)
+                yield from dfs(j, m + 1, new_prod, table.minkowski(supp, codes[j]))
             blocks.pop()
 
-    root = [0] * n
-    root[0] = 1
-    yield from dfs(0, 0, 1, root)
+    yield from dfs(0, 0, 1, 1)

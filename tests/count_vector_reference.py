@@ -1,0 +1,155 @@
+"""Reference implementations on subset-sum count vectors.
+
+Direct forms of the atom enumeration and the unique-factorization
+branch-and-bound: they carry the full vector of subset-sum counts per node
+and use Fraction measures, where the library keeps only the support of the
+subset sums and integer measures. The tests require both to agree on
+catalogs, values, witnesses, node counts and prune counts.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from zerosums.atoms import AtomCatalog
+from zerosums.groups import FiniteAbelianGroup, group_table
+from zerosums.search import Budget, SearchOutcome, SearchStats, _BudgetHit, _BudgetState
+
+
+def extend_counts(cnt: list[int], codes, add) -> list[int]:
+    for c in codes:
+        prev = cnt
+        cnt = prev[:]
+        for x, v in enumerate(prev):
+            if v:
+                cnt[add[x][c]] += v
+    return cnt
+
+
+def enumerate_atoms(
+    group: FiniteAbelianGroup, max_len: int | None = None
+) -> AtomCatalog:
+    n = group.order
+    if max_len is None:
+        max_len = n
+    if n == 1:
+        return AtomCatalog(group, (), max_len, True)
+    table = group_table(group)
+    add, neg = table.add, table.neg
+    found: dict[int, list] = {}
+    prefix: list[int] = []
+
+    def dfs(start: int, running: int, cnt: list[int]) -> None:
+        depth = len(prefix)
+        want = neg[running]
+        for e in range(start, n):
+            if e == want and want != 0 and depth + 1 >= 2:
+                atom = tuple(table.decode(c) for c in prefix + [e])
+                found.setdefault(len(atom), []).append(atom)
+            if depth + 1 <= max_len - 1 and cnt[neg[e]] == 0:
+                prefix.append(e)
+                dfs(e, add[running][e], extend_counts(cnt, (e,), add))
+                prefix.pop()
+
+    root = [0] * n
+    root[0] = 1
+    dfs(1, 0, root)
+    atoms_by_length = tuple((l, tuple(sorted(found[l]))) for l in sorted(found))
+    complete = max_len >= n or not found.get(max_len)
+    return AtomCatalog(group, atoms_by_length, max_len, complete)
+
+
+def maximize_over_ufims(
+    group: FiniteAbelianGroup,
+    catalog: AtomCatalog,
+    kind: str,
+    floor_value: Fraction,
+    floor_witness_codes: tuple[int, ...],
+    budget: Budget | None = None,
+) -> SearchOutcome:
+    """Serial count-vector branch-and-bound; same visit order and counters."""
+    n = group.order
+    stats = SearchStats()
+    if n == 1 or catalog.count == 0:
+        return SearchOutcome(floor_value, floor_witness_codes, stats)
+    table = group_table(group)
+    add = table.add
+    entries = []
+    for atom in catalog.atoms():
+        codes = tuple(table.encode(el) for el in atom)
+        if kind == "cross":
+            measure = sum((Fraction(1, table.order[c]) for c in codes), Fraction(0))
+        else:
+            measure = Fraction(len(codes))
+        entries.append((len(codes), codes, measure))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    m_cap = n.bit_length() - 1
+    suffix_max = [Fraction(0)] * (len(entries) + 1)
+    for i in range(len(entries) - 1, -1, -1):
+        suffix_max[i] = max(entries[i][2], suffix_max[i + 1])
+    budget_state = _BudgetState(budget)
+
+    def run_branch(first: int):
+        local = SearchStats()
+        best = [floor_value, tuple(sorted(floor_witness_codes))]
+        chosen: list[int] = []
+
+        def consider(value: Fraction) -> None:
+            if value < best[0]:
+                return
+            witness = tuple(sorted(chosen))
+            if value > best[0] or witness < best[1]:
+                best[:] = [value, witness]
+
+        def dfs(min_idx: int, m: int, prod: int, value: Fraction, cnt: list[int]):
+            slots = min(m_cap - m, (n // prod).bit_length() - 1)
+            if slots <= 0:
+                return
+            if value + slots * suffix_max[min_idx] < best[0]:
+                local.prunes["bound"] += 1
+                return
+            for j in range(min_idx, len(entries)):
+                length, codes, measure = entries[j]
+                if prod * length > n:
+                    local.prunes["product"] += 1
+                    break
+                nxt = extend_counts(cnt, codes, add)
+                budget_state.spend()
+                local.nodes += 1
+                if nxt[0] != 1 << (m + 1):
+                    local.prunes["crossing"] += 1
+                    continue
+                chosen.extend(codes)
+                consider(value + measure)
+                dfs(j, m + 1, prod * length, value + measure, nxt)
+                del chosen[len(chosen) - length :]
+
+        finished = True
+        try:
+            root = [0] * n
+            root[0] = 1
+            length, codes, measure = entries[first]
+            nxt = extend_counts(root, codes, add)
+            budget_state.spend()
+            local.nodes += 1
+            if nxt[0] != 2:
+                local.prunes["crossing"] += 1
+            else:
+                chosen.extend(codes)
+                consider(measure)
+                dfs(first, 1, length, measure, nxt)
+        except _BudgetHit:
+            finished = False
+        return best[0], best[1], local, finished
+
+    best_value = floor_value
+    best_witness = tuple(sorted(floor_witness_codes))
+    for first in range(len(entries)):
+        value, witness, local, ok = run_branch(first)
+        stats.nodes += local.nodes
+        stats.prunes.update(local.prunes)
+        stats.complete = stats.complete and ok
+        if value > best_value or (value == best_value and witness < best_witness):
+            best_value, best_witness = value, witness
+    return SearchOutcome(best_value, best_witness, stats)
+

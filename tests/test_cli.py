@@ -167,3 +167,24 @@ def test_structured_reports_identical_across_workers(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_truncated_cache_files_are_recomputed(tmp_path, capsys):
+    argv = ["invariant", "-g", "2,4", "-i", "K1", "--format", "json"]
+    code, fresh, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "fresh"))
+    assert code == 0
+    cache_dir = tmp_path / "cache"
+    assert run(capsys, *argv, "--cache-dir", str(cache_dir))[0] == 0
+    record = cache_dir / "results-v1" / "2_4__K1.json"
+    catalog = cache_dir / "atoms-v1" / "2_4__L8.txt"
+    whole_record, whole_catalog = record.read_bytes(), catalog.read_bytes()
+    record.write_bytes(whole_record[: len(whole_record) // 2])
+    catalog.write_bytes(whole_catalog[: len(whole_catalog) - 3])
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 0 and not err
+    assert json.loads(out) == json.loads(fresh)
+    assert record.read_bytes() == whole_record
+    assert catalog.read_bytes() == whole_catalog
+    assert sorted(p.name for p in cache_dir.rglob("*")) == sorted(
+        ["results-v1", "atoms-v1", record.name, catalog.name]
+    )

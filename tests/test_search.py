@@ -1,0 +1,169 @@
+"""The subset-sum-support kernel against plain sets and the count-vector
+reference searches."""
+
+import itertools
+from fractions import Fraction
+
+import count_vector_reference as reference
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from zerosums import constructions
+from zerosums.atoms import atom_catalog, enumerate_atoms
+from zerosums.errors import DomainError
+from zerosums.groups import abelian_groups_up_to, group_table, normalize_group
+from zerosums.invariants import k1, narkiewicz_n1, to_record
+from zerosums.multisets import cross_number
+from zerosums.search import Budget, maximize_over_ufims
+
+
+def G(*moduli):
+    return normalize_group(list(moduli))
+
+
+GROUPS_TO_64 = abelian_groups_up_to(64)
+
+
+@st.composite
+def tables(draw):
+    """Group tables of order up to 64 (masks of up to eight bytes), cyclic
+    and non-cyclic alike."""
+    return group_table(draw(st.sampled_from(GROUPS_TO_64)))
+
+
+def elements_of(mask):
+    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+
+
+def mask_of(codes):
+    return sum(1 << c for c in set(codes))
+
+
+def subset_sums(table, codes):
+    sums = {0}
+    for c in codes:
+        sums |= {table.add[s][c] for s in sums}
+    return sums
+
+
+@given(st.data())
+def test_translate_matches_set_arithmetic(data):
+    table = data.draw(tables())
+    mask = data.draw(st.integers(0, (1 << table.n) - 1))
+    g = data.draw(st.integers(0, table.n - 1))
+    expected = {table.add[x][g] for x in elements_of(mask)}
+    assert table.translate(mask, g) == mask_of(expected)
+
+
+@given(st.data())
+def test_sumset_and_minkowski_match_set_arithmetic(data):
+    table = data.draw(tables())
+    codes = data.draw(st.lists(st.integers(0, table.n - 1), max_size=8))
+    mask = data.draw(st.integers(0, (1 << table.n) - 1))
+    sums = subset_sums(table, codes)
+    assert table.sumset(codes) == mask_of(sums)
+    expected = {table.add[x][s] for x in elements_of(mask) for s in sums}
+    assert table.minkowski(mask, codes) == mask_of(expected)
+
+
+@given(st.data())
+def test_crossing_test_matches_set_arithmetic(data):
+    """For an atom A, supp(S) meets Σ(A) minus 0 exactly when a subset of S
+    cancels a proper nonempty subset of A."""
+    table = data.draw(tables())
+    nonzero = st.integers(1, table.n - 1)
+    head = data.draw(st.lists(nonzero, min_size=1, max_size=6))
+    atom = head + [table.neg[_sum(table, head)]]
+    proper = [
+        _sum(table, [atom[i] for i in idx])
+        for r in range(1, len(atom))
+        for idx in itertools.combinations(range(len(atom)), r)
+    ]
+    assume(0 not in proper)  # A is a minimal zero-sum sequence
+    assert {table.neg[p] for p in proper} == set(proper)  # P = -P
+    union = data.draw(st.lists(nonzero, max_size=6))
+    union_sums = subset_sums(table, union)
+    crosses = any(table.neg[p] in union_sums for p in proper)
+    supp = table.sumset(union)
+    assert bool(supp & (table.sumset(atom) & ~1)) == crosses
+
+
+def _sum(table, codes):
+    total = 0
+    for c in codes:
+        total = table.add[total][c]
+    return total
+
+
+def _floor(group, kind):
+    table = group_table(group)
+    if kind == "cross":
+        ms = constructions.extremal_ufim(group)
+        value = cross_number(ms)
+    else:
+        ms = constructions.generator_repeat_union(group)
+        value = Fraction(ms.size)
+    return value, tuple(sorted(table.encode(el) for el in ms.elements()))
+
+
+SMALL_GROUPS = abelian_groups_up_to(12)
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.key)
+def test_enumerate_atoms_matches_count_vectors(group):
+    for max_len in (2, 3, group.order):
+        assert enumerate_atoms(group, max_len) == reference.enumerate_atoms(
+            group, max_len
+        )
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.key)
+def test_search_matches_count_vectors(group):
+    catalog = atom_catalog(group)
+    for kind in ("cross", "size"):
+        for floor in (_floor(group, kind), (Fraction(0), ())):
+            got = maximize_over_ufims(group, catalog, kind, *floor)
+            want = reference.maximize_over_ufims(group, catalog, kind, *floor)
+            assert got.value == want.value
+            assert got.witness_codes == want.witness_codes
+            assert got.stats.nodes == want.stats.nodes
+            assert got.stats.prunes == want.stats.prunes
+            assert got.stats.complete and want.stats.complete
+
+
+def test_budgeted_search_matches_count_vectors():
+    group = G(2, 4)
+    catalog = atom_catalog(group)
+    floor = _floor(group, "cross")
+    for nodes in (0, 1, 50, 400):
+        got = maximize_over_ufims(
+            group, catalog, "cross", *floor, budget=Budget(max_nodes=nodes)
+        )
+        want = reference.maximize_over_ufims(
+            group, catalog, "cross", *floor, budget=Budget(max_nodes=nodes)
+        )
+        assert (got.value, got.witness_codes) == (want.value, want.witness_codes)
+        assert (got.stats.nodes, got.stats.prunes, got.stats.complete) == (
+            want.stats.nodes, want.stats.prunes, want.stats.complete
+        )
+
+
+def test_search_rejects_floor_off_the_exponent_grid():
+    group = G(4)
+    with pytest.raises(DomainError):
+        maximize_over_ufims(group, atom_catalog(group), "cross", Fraction(1, 3), ())
+    with pytest.raises(DomainError):
+        maximize_over_ufims(group, atom_catalog(group), "size", Fraction(1, 2), ())
+
+
+@pytest.mark.parametrize("search", [k1, narkiewicz_n1])
+def test_node_budgeted_records_identical_across_workers(search):
+    group = G(2, 8)
+    records = [
+        to_record(search(group, budget=Budget(max_nodes=20000), workers=w))
+        for w in (1, 2, 4)
+    ]
+    assert records[0]["incomplete"]
+    assert records[0] == records[1] == records[2]
+
