@@ -19,8 +19,10 @@ from .groups import (
     FiniteAbelianGroup,
     Homomorphism,
     factorize,
+    group_table,
     is_prime,
     kernel_elements,
+    masks_with_sum,
     normalize_group,
     product_presentation,
 )
@@ -236,33 +238,23 @@ def construction4_decompose(
             f"packing search over {len(rest)} indices exceeds the cap"
         )
 
-    kernel_set = {g for g in kernel_elements(phi)}
-    group = ms.group
-
     # Candidate subsets of the non-kernel part: zero-sum free with sum in
     # the kernel minus zero.
+    table = group_table(ms.group)
     l = len(rest)
-    sums: list[Element] = [group.zero()] * (1 << l)
-    for mask in range(1, 1 << l):
-        low = mask & -mask
-        prev = mask ^ low
-        sums[mask] = group.add(sums[prev], entry[rest[low.bit_length() - 1]])
+    codes = [table.code[entry[r]] for r in rest]
+    sums = table.subset_sums(codes)
 
-    def zero_sum_free_mask(mask: int) -> bool:
-        sub = mask
-        while sub:
-            if sums[sub] == group.zero():
-                return False
-            sub = (sub - 1) & mask
-        return True
+    def mask_codes(mask: int) -> list[int]:
+        return [codes[i] for i in range(l) if mask >> i & 1]
 
-    candidates = [
+    candidates = sorted(
         mask
-        for mask in range(1, 1 << l)
-        if sums[mask] != group.zero()
-        and sums[mask] in kernel_set
-        and zero_sum_free_mask(mask)
-    ]
+        for g in kernel_elements(phi)
+        if any(g)
+        for mask in masks_with_sum(sums, table.code[g])
+        if table.zero_sum_free(mask_codes(mask))
+    )
 
     # Maximal packing count per free mask, then the lexicographically least
     # maximal family, built by always trying the least usable candidate.

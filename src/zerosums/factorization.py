@@ -1,11 +1,25 @@
 """Zero-sum predicates, irreducible factorizations, and unique-factorization tests.
 
+Every subset scan runs on the ``GroupTable`` subset-sum primitive:
+
+* Membership tests read supports. S is zero-sum free exactly when no
+  s_i has -s_i among the subset sums of s_1..s_{i-1}
+  (``GroupTable.zero_sum_free``), and a zero-sum S is minimal exactly when
+  S without its last element is zero-sum free (a proper zero-sum subset or
+  its complement misses that element). Both cost O(l * |G| / 8) lookups at
+  every size l.
+* Subset listings read ``GroupTable.subset_sums``, the sum of every subset
+  indexed by mask: directly up to ``config.DIRECT_SCAN_LIMIT`` elements, and
+  by meet-in-the-middle over two halves beyond it. A zero-sum subset is a
+  minimal block when it passes the minimality test above.
+
 Two independent algorithms decide whether a zero-sum multiset factors
 uniquely into minimal zero-sum blocks: counting factorizations directly
 (the definition) and checking that the zero-sum subsets are closed under
 intersection (the classical characterization). Verification mode runs both
-and raises on disagreement. Large multisets with few distinct elements are
-handled by an equivalent closure test on multiplicity vectors.
+and raises on disagreement. Multisets past the direct-scan limit are
+decided by an equivalent closure test on multiplicity vectors, which works
+when they have few distinct elements.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import group_table
+from .groups import group_table, masks_with_sum
 from .multisets import IndexedMultiset, IndexSubset, sigma
 
 
@@ -65,78 +79,64 @@ def _codes(ms: IndexedMultiset) -> tuple[list[int], list[int], "object"]:
     return labels, codes, table
 
 
-def _zero_sum_masks_direct(codes: Sequence[int], table) -> list[int]:
-    """All subset masks with zero sum, by a full incremental scan."""
-    l = len(codes)
-    add = table.add
-    sums = [0] * (1 << l)
-    out = [0]
-    for mask in range(1, 1 << l):
-        low = mask & -mask
-        s = add[sums[mask ^ low]][codes[low.bit_length() - 1]]
-        sums[mask] = s
-        if s == 0:
-            out.append(mask)
-    return out
+def _zero_sum_masks_direct(codes: Sequence[int], table, cap: int) -> list[int]:
+    """All subset masks with zero sum, read from the full subset-sum table."""
+    sums = table.subset_sums(codes)
+    if sums.count(0) > cap:
+        raise ResourceLimitError("too many zero-sum subsets")
+    return masks_with_sum(sums, 0)
 
 
 def _zero_sum_masks_mitm(codes: Sequence[int], table, cap: int) -> list[int]:
     """Zero-sum masks by meet-in-the-middle, for sizes past the scan limit."""
-    l = len(codes)
-    h = l // 2
-    add = table.add
+    h = len(codes) // 2
     neg = table.neg
-
-    def half_sums(cs: Sequence[int]) -> dict[int, list[int]]:
-        by_sum: dict[int, list[int]] = {0: [0]}
-        sums = [0] * (1 << len(cs))
-        for mask in range(1, 1 << len(cs)):
-            low = mask & -mask
-            s = add[sums[mask ^ low]][cs[low.bit_length() - 1]]
-            sums[mask] = s
-            by_sum.setdefault(s, []).append(mask)
-        return by_sum
-
-    lo = half_sums(codes[:h])
-    hi = half_sums(codes[h:])
-    out = []
-    for s, masks_lo in lo.items():
-        partners = hi.get(neg[s])
+    lo = table.subset_sums(codes[:h])
+    hi = table.subset_sums(codes[h:])
+    out: list[int] = []
+    for s in set(lo):
+        partners = [b << h for b in masks_with_sum(hi, neg[s])]
         if not partners:
             continue
-        for a in masks_lo:
-            for b in partners:
-                out.append(a | (b << h))
-                if len(out) > cap:
-                    raise ResourceLimitError(
-                        f"more than {cap} zero-sum subsets"
-                    )
+        for a in masks_with_sum(lo, s):
+            out += [a | b for b in partners]
+            if len(out) > cap:
+                raise ResourceLimitError(f"more than {cap} zero-sum subsets")
     out.sort()
     return out
 
 
-def _zero_sum_masks(ms: IndexedMultiset) -> tuple[list[int], list[int]]:
-    """(sorted labels, zero-sum masks ascending)."""
+def _zero_sum_masks(
+    ms: IndexedMultiset,
+) -> tuple[list[int], list[int], list[int], "object"]:
+    """(sorted labels, their codes, zero-sum masks ascending, group table)."""
     labels, codes, table = _codes(ms)
     if len(codes) > config.MAX_MULTISET_SIZE:
         raise ResourceLimitError(
             f"multiset size {len(codes)} exceeds cap {config.MAX_MULTISET_SIZE}"
         )
     if len(codes) <= config.DIRECT_SCAN_LIMIT:
-        masks = _zero_sum_masks_direct(codes, table)
-        if len(masks) > config.SUBSET_OUTPUT_CAP:
-            raise ResourceLimitError("too many zero-sum subsets")
+        masks = _zero_sum_masks_direct(codes, table, config.SUBSET_OUTPUT_CAP)
     else:
         masks = _zero_sum_masks_mitm(codes, table, config.SUBSET_OUTPUT_CAP)
-    return labels, masks
+    return labels, codes, masks, table
 
 
-def _minimal_masks(zs_masks: Sequence[int]) -> list[int]:
-    """Masks with no proper nonzero zero-sum submask."""
-    nonzero = [m for m in zs_masks if m]
+def _minimal_masks(zs_masks: Sequence[int], codes: Sequence[int], table) -> list[int]:
+    """Nonzero zero-sum masks that are minimal: without their top element,
+    zero-sum free."""
+    zero_sum_free = table.zero_sum_free
     out = []
-    for m in nonzero:
-        if not any(z != m and z & m == z for z in nonzero):
+    for m in zs_masks:
+        if not m:
+            continue
+        rest = m ^ (1 << (m.bit_length() - 1))
+        sub = []
+        while rest:
+            low = rest & -rest
+            sub.append(codes[low.bit_length() - 1])
+            rest ^= low
+        if zero_sum_free(sub):
             out.append(m)
     return out
 
@@ -231,48 +231,19 @@ def is_minimal_zero_sum(ms: IndexedMultiset) -> bool:
     """Zero-sum with no proper nonempty zero-sum subset; the empty set is not."""
     if ms.size == 0 or not is_zero_sum(ms):
         return False
-    if ms.size == 1:
-        return True  # the single element must be 0 for the sum to vanish
-    if ms.size <= config.DIRECT_SCAN_LIMIT:
-        _, codes, table = _codes(ms)
-        l = len(codes)
-        add = table.add
-        sums = [0] * (1 << l)
-        full = (1 << l) - 1
-        for mask in range(1, full):
-            low = mask & -mask
-            s = add[sums[mask ^ low]][codes[low.bit_length() - 1]]
-            sums[mask] = s
-            if s == 0:
-                return False
-        return True
-    values, counts, table = _distinct_counts(ms)
-    vectors = _zero_sum_vectors(values, counts, table)
-    return len(vectors) == 2  # the zero vector and the full vector
+    _, codes, table = _codes(ms)
+    return table.zero_sum_free(codes[:-1])
 
 
 def is_zero_sum_free(ms: IndexedMultiset) -> bool:
     """No nonempty subset sums to zero; vacuously true for the empty multiset."""
-    if ms.size == 0:
-        return True
-    if ms.size <= config.DIRECT_SCAN_LIMIT:
-        _, codes, table = _codes(ms)
-        add = table.add
-        sums = [0] * (1 << len(codes))
-        for mask in range(1, 1 << len(codes)):
-            low = mask & -mask
-            s = add[sums[mask ^ low]][codes[low.bit_length() - 1]]
-            sums[mask] = s
-            if s == 0:
-                return False
-        return True
-    values, counts, table = _distinct_counts(ms)
-    return len(_zero_sum_vectors(values, counts, table)) == 1
+    _, codes, table = _codes(ms)
+    return table.zero_sum_free(codes)
 
 
 def zero_sum_subsets(ms: IndexedMultiset) -> list[IndexSubset]:
     """All index subsets summing to zero, including the empty one."""
-    labels, masks = _zero_sum_masks(ms)
+    labels, _, masks, _ = _zero_sum_masks(ms)
     out = []
     for mask in masks:
         sel = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
@@ -287,8 +258,8 @@ def _factorization_context(ms: IndexedMultiset):
     _require_over_nonzero(ms, "factorization")
     if not is_zero_sum(ms):
         raise PreconditionError("factorization requires a zero-sum multiset")
-    labels, masks = _zero_sum_masks(ms)
-    return labels, _minimal_masks(masks)
+    labels, codes, masks, table = _zero_sum_masks(ms)
+    return labels, _minimal_masks(masks, codes, table)
 
 
 def _iter_block_partitions(
@@ -331,7 +302,7 @@ def is_ufim_by_intersection(ms: IndexedMultiset) -> bool:
     _require_over_nonzero(ms, "unique-factorization test")
     if not is_zero_sum(ms):
         raise PreconditionError("unique-factorization test requires zero sum")
-    _, masks = _zero_sum_masks(ms)
+    masks = _zero_sum_masks(ms)[2]
     present = set(masks)
     for i in range(len(masks)):
         a = masks[i]

@@ -425,10 +425,17 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 class GroupTable:
     """Element codes 0..|G|-1 in canonical order with dense add/neg tables.
 
-    A subset of the group is an int bitmask over codes (bit c for element c).
-    ``translate``, ``minkowski`` and ``sumset`` on such masks form the
-    subset-sum-support primitive of the atom and unique-factorization
-    searches.
+    Codes are mixed-radix: the residues of an element are its digits, the
+    last coordinate varying fastest, so code order is the canonical element
+    order. The tables are built from the codes, one cyclic factor at a time.
+
+    A subset of the group is an int bitmask over codes (bit c for element
+    c). ``translate``, ``minkowski``, ``sumset`` and ``zero_sum_free`` on
+    such masks form the subset-sum-support primitive of the atom and
+    unique-factorization searches and of the zero-sum predicates;
+    ``subset_sums`` lists the sum of every subset of a sequence, for the
+    scans that need the subsets themselves. Translation tables are built per
+    element on first use and kept on the table.
     """
 
     __slots__ = ("group", "n", "elements", "code", "add", "neg", "order", "_shift")
@@ -438,21 +445,28 @@ class GroupTable:
         self.elements: tuple[Element, ...] = tuple(group.elements())
         self.n = len(self.elements)
         self.code: dict[Element, int] = {g: i for i, g in enumerate(self.elements)}
-        moduli = group.invariant_factors
-        weights = [0] * group.rank
-        w = 1
-        for j in range(group.rank - 1, -1, -1):
-            weights[j] = w
-            w *= moduli[j]
-        def enc(g: Element) -> int:
-            return sum(r * wt for r, wt in zip(g, weights))
-        self.add = tuple(
-            tuple(enc(group.add(a, b)) for b in self.elements)
-            for a in self.elements
-        )
-        self.neg = tuple(enc(group.neg(a)) for a in self.elements)
-        self.order = tuple(group.element_order(a) for a in self.elements)
-        self._shift: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        # Tables of the trivial group, then C_m + H for each modulus m from
+        # the last: code r*h + c stands for (r, c) with c a code of H.
+        add: list[tuple[int, ...]] = [(0,)]
+        neg = [0]
+        order = [1]
+        h = 1
+        for m in reversed(group.invariant_factors):
+            blocks = [[[r * h + x for x in row] for row in add] for r in range(m)]
+            add = []
+            for r in range(m):
+                for c in range(h):
+                    row: list[int] = []
+                    for q in range(r, r + m):
+                        row += blocks[q % m][c]
+                    add.append(tuple(row))
+            neg = [(-r) % m * h + x for r in range(m) for x in neg]
+            order = [lcm(m // gcd(m, r), o) for r in range(m) for o in order]
+            h *= m
+        self.add = tuple(add)
+        self.neg = tuple(neg)
+        self.order = tuple(order)
+        self._shift: list[tuple[tuple[int, ...], ...] | None] = [None] * self.n
 
     def encode(self, g: Element) -> int:
         return self.code[g]
@@ -460,43 +474,41 @@ class GroupTable:
     def decode(self, c: int) -> Element:
         return self.elements[c]
 
-    def shift_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per-byte translation tables, built on first use.
+    def shift_row(self, g: int) -> tuple[tuple[int, ...], ...]:
+        """Per-byte translation tables of g, built on first use.
 
-        ``shift_tables()[g][k][b]`` is the mask of x + g over the codes x set
-        in ``b << 8 * k``, so a translate costs one lookup per mask byte. The
+        ``shift_row(g)[k][b]`` is the mask of x + g over the codes x set in
+        ``b << 8 * k``, so a translate costs one lookup per mask byte. The
         last table is shorter when 8 does not divide |G|; masks hold no bit
         at or above |G|.
         """
-        if self._shift is None:
-            n, add = self.n, self.add
-            tables = []
-            for g in range(n):
-                per_byte = []
-                for base in range(0, n, 8):
-                    lut = [0]
-                    for x in range(base, min(base + 8, n)):
-                        bit = 1 << add[x][g]
-                        lut += [v | bit for v in lut]
-                    per_byte.append(tuple(lut))
-                tables.append(tuple(per_byte))
-            self._shift = tuple(tables)
-        return self._shift
+        row = self._shift[g]
+        if row is None:
+            n, col = self.n, self.add[g]
+            per_byte = []
+            for base in range(0, n, 8):
+                lut = [0]
+                for x in range(base, min(base + 8, n)):
+                    bit = 1 << col[x]
+                    lut += [v | bit for v in lut]
+                per_byte.append(tuple(lut))
+            row = self._shift[g] = tuple(per_byte)
+        return row
 
     def translate(self, mask: int, g: int) -> int:
         """The set mask + g."""
         out = 0
-        for lut in (self._shift or self.shift_tables())[g]:
+        for lut in self._shift[g] or self.shift_row(g):
             out |= lut[mask & 0xFF]
             mask >>= 8
         return out
 
     def minkowski(self, mask: int, codes: Iterable[int]) -> int:
         """The Minkowski sum of mask with the subset sums of codes."""
-        shift = self._shift or self.shift_tables()
+        shift = self._shift
         for g in codes:
             m = mask
-            for lut in shift[g]:
+            for lut in shift[g] or self.shift_row(g):
                 mask |= lut[m & 0xFF]
                 m >>= 8
         return mask
@@ -504,6 +516,56 @@ class GroupTable:
     def sumset(self, codes: Iterable[int]) -> int:
         """Subset sums of the sequence codes, the empty sum 0 included."""
         return self.minkowski(1, codes)
+
+    def zero_sum_free(self, codes: Iterable[int]) -> bool:
+        """Whether no nonempty subsequence of codes sums to 0.
+
+        A zero-sum subsequence T exists exactly when, for the last s_i in T,
+        -s_i is a subset sum of s_1..s_{i-1}; so one pass over the prefix
+        supports decides it, |G|/8 lookups per element.
+        """
+        neg, translate = self.neg, self.translate
+        supp = 1
+        for g in codes:
+            if supp >> neg[g] & 1:
+                return False
+            supp |= translate(supp, g)
+        return True
+
+    def subset_sums(self, codes: Sequence[int]) -> bytes | list[int]:
+        """The code of the sum of every subset of codes, indexed by mask.
+
+        Entry m is the sum of codes[i] over the bits i set in m. The table
+        doubles once per element: the sums of the masks with bit i set are
+        the sums so far translated by codes[i]. When |G| <= 256 the table
+        is a bytes object and each doubling one ``bytes.translate``; for
+        larger groups it is a list.
+        """
+        add = self.add
+        if self.n <= 256:
+            pad = bytes(256 - self.n)
+            sums = b"\0"
+            for g in codes:
+                sums += sums.translate(bytes(add[g]) + pad)
+            return sums
+        out = [0]
+        for g in codes:
+            row = add[g]
+            out += [row[s] for s in out]
+        return out
+
+
+def masks_with_sum(sums: bytes | list[int], s: int) -> list[int]:
+    """Ascending masks whose entry in a ``subset_sums`` table is s."""
+    if isinstance(sums, bytes):
+        out = []
+        find = sums.find
+        i = find(s)
+        while i >= 0:
+            out.append(i)
+            i = find(s, i + 1)
+        return out
+    return [m for m, v in enumerate(sums) if v == s]
 
 
 @lru_cache(maxsize=None)

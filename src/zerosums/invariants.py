@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     LemmaNotApplicableError,
     ResourceLimitError,
+    ZerosumsError,
 )
 from .factorization import is_ufim, unique_factorization
 from .formulas import K_star, d_star, k1_star, k_star, n1_star
@@ -153,9 +154,15 @@ def _cached(
     record = cache.get_record(group.key, invariant)
     if record is None or record.get("incomplete"):
         return None
+    # A record that does not decode, or whose witness does not reproduce
+    # its value, is a miss: the caller recomputes and rewrites it. A record
+    # without a witness stands for the empty one, whose measure is 0.
     try:
         result = from_record(group, record)
-    except (KeyError, TypeError, ValueError):  # malformed record: a miss
+        valid = result.invariant == invariant and result.verify()
+    except (KeyError, TypeError, ValueError, ZerosumsError):
+        return None
+    if not valid or (result.witness is None and result.value != 0):
         return None
     result.provenance = "cached"
     return result

@@ -188,3 +188,22 @@ def test_truncated_cache_files_are_recomputed(tmp_path, capsys):
     assert sorted(p.name for p in cache_dir.rglob("*")) == sorted(
         ["results-v1", "atoms-v1", record.name, catalog.name]
     )
+
+
+def test_cache_hit_with_a_wrong_value_is_recomputed(tmp_path, capsys):
+    argv = ["invariant", "-g", "4", "-i", "K1", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(fresh)["value"] == "3/2"
+    path = tmp_path / "results-v1" / "4__K1.json"
+    whole = path.read_text()
+    for edit in ({"value": "7/2"}, {"value": "7/2", "witness": None}):
+        record = dict(json.loads(whole), **edit)
+        path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        served = json.loads(out)
+        assert served["value"] == "3/2" and served["provenance"] == "computed"
+        assert path.read_text() == whole
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["provenance"] == "cached"

@@ -1,0 +1,224 @@
+"""The subset-sum primitive of the zero-sum predicates against per-mask
+reference scans, plain set arithmetic and the pair-by-pair tables."""
+
+import subset_scan_reference as reference
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zerosums import config
+from zerosums.constructions import construction4_decompose
+from zerosums.errors import NotUniqueFactorizationError
+from zerosums.factorization import (
+    count_factorizations,
+    is_minimal_zero_sum,
+    is_ufim,
+    is_zero_sum_free,
+    unique_factorization,
+    zero_sum_subsets,
+)
+from zerosums.groups import (
+    GroupTable,
+    abelian_groups_up_to,
+    group_table,
+    multiplication_hom,
+    normalize_group,
+    projection_hom,
+    trivial_group,
+)
+from zerosums.multisets import IndexedMultiset
+
+GROUPS_TO_16 = abelian_groups_up_to(16)
+# Above 256 elements, subset_sums returns a list instead of bytes.
+BIG = normalize_group([2, 150])
+# Exactly 256 elements: the largest group on the bytes branch.
+C4_C64 = normalize_group([4, 64])
+
+
+def key(group):
+    return group.key
+
+
+def _sum(group, elements):
+    total = group.zero()
+    for el in elements:
+        total = group.add(total, el)
+    return total
+
+
+@st.composite
+def multisets(draw, group, max_len, nonzero=False, closed=False):
+    """Multisets over group; closed ones get one closing element, so they
+    sum to zero. Elements are drawn from a small pool so that equal and
+    opposite elements, and so zero-sum subsets, are common."""
+    elements = list(group.elements())
+    pool = elements[1:] if nonzero else elements
+    if len(pool) > 8:
+        pool = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        pool += [group.neg(x) for x in pool]
+    els = draw(st.lists(st.sampled_from(pool), max_size=max_len))
+    if closed:
+        closing = group.neg(_sum(group, els))
+        if closing != group.zero():
+            els.append(closing)
+    return IndexedMultiset.from_elements(
+        group, els, allow_zero=not nonzero, max_size=max(len(els), 1)
+    )
+
+
+def label_sets(subsets):
+    return [sorted(s.labels) for s in subsets]
+
+
+def reference_label_sets(ms, masks):
+    labels = sorted(ms.labels)
+    return [[labels[i] for i in range(len(labels)) if m >> i & 1] for m in masks]
+
+
+def check_subsets(ms):
+    labels, codes = reference.codes_of(ms)
+    add, neg, _ = reference.tables(ms.group)
+    expected = reference.zero_sum_masks_direct(codes, add)
+    assert label_sets(zero_sum_subsets(ms)) == reference_label_sets(ms, expected)
+    old = config.DIRECT_SCAN_LIMIT
+    config.DIRECT_SCAN_LIMIT = 2  # meet-in-the-middle from three elements on
+    try:
+        got = label_sets(zero_sum_subsets(ms))
+    finally:
+        config.DIRECT_SCAN_LIMIT = old
+    mitm = reference.zero_sum_masks_mitm(codes, add, neg, config.SUBSET_OUTPUT_CAP)
+    assert mitm == expected
+    assert got == reference_label_sets(ms, expected)
+
+
+def check_factorizations(ms):
+    found = reference.partitions(ms, 2)
+    assert count_factorizations(ms, cap=2) == len(found)
+    assert is_ufim(ms) is (len(found) == 1)
+    if len(found) == 1:
+        assert unique_factorization(ms).blocks == found[0]
+    else:
+        with pytest.raises(NotUniqueFactorizationError) as err:
+            unique_factorization(ms)
+        assert [err.value.first.blocks, err.value.second.blocks] == found
+
+
+# -- tables -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", [trivial_group()] + abelian_groups_up_to(64), ids=key)
+def test_tables_match_pairwise_construction(group):
+    table = GroupTable(group)
+    assert (table.add, table.neg, table.order) == reference.tables(group)
+
+
+def test_shift_rows_are_built_on_first_use():
+    group = normalize_group([2, 24])
+    table = GroupTable(group)
+    assert table._shift == [None] * 48
+    table.translate(0b1011, 5)
+    table.minkowski(1, [7, 5, 7])
+    assert table.zero_sum_free([9])
+    assert [g for g, row in enumerate(table._shift) if row is not None] == [5, 7, 9]
+
+
+@given(st.data())
+def test_shift_rows_match_set_arithmetic(data):
+    group = data.draw(st.sampled_from(GROUPS_TO_16 + [normalize_group([8, 8]), BIG]))
+    table = GroupTable(group)
+    add = reference.tables(group)[0]
+    g = data.draw(st.integers(0, table.n - 1))
+    row = table.shift_row(g)
+    assert len(row) == (table.n + 7) // 8
+    k = data.draw(st.integers(0, len(row) - 1))
+    b = data.draw(st.integers(0, len(row[k]) - 1))
+    xs = [8 * k + i for i in range(8) if b >> i & 1]
+    assert row[k][b] == sum(1 << c for c in {add[x][g] for x in xs})
+    mask = data.draw(st.integers(0, (1 << table.n) - 1))
+    shifted = {add[x][g] for x in range(table.n) if mask >> x & 1}
+    assert table.translate(mask, g) == sum(1 << c for c in shifted)
+
+
+@given(st.data())
+def test_subset_sums_match_reference(data):
+    group = data.draw(st.sampled_from(GROUPS_TO_16 + [C4_C64, BIG]))
+    table = group_table(group)
+    codes = data.draw(st.lists(st.integers(0, table.n - 1), max_size=9))
+    sums = table.subset_sums(codes)
+    assert isinstance(sums, bytes if table.n <= 256 else list)
+    assert list(sums) == reference.subset_sums(codes, reference.tables(group)[0])
+
+
+# -- predicates on every group of order <= 16 -------------------------------
+
+
+@pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_membership_tests_match_reference(group, data):
+    ms = data.draw(multisets(group, 12))
+    assert is_zero_sum_free(ms) is reference.is_zero_sum_free(ms)
+    closed = data.draw(multisets(group, 12, closed=True))
+    assert is_minimal_zero_sum(closed) is reference.is_minimal_zero_sum(closed)
+    assert is_zero_sum_free(closed) is reference.is_zero_sum_free(closed)
+
+
+@pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_subset_listing_matches_reference(group, data):
+    check_subsets(data.draw(multisets(group, 10)))
+
+
+@pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_factorizations_match_reference(group, data):
+    check_factorizations(data.draw(multisets(group, 8, nonzero=True, closed=True)))
+
+
+@pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_decompose_matches_reference(group, data):
+    ms = data.draw(multisets(group, 8, nonzero=True, closed=True))
+    if not reference.is_ufim(ms):
+        return
+    if data.draw(st.booleans()):
+        phi = multiplication_hom(group, data.draw(st.integers(0, group.exponent)))
+    else:
+        phi = projection_hom(group, data.draw(st.integers(0, group.rank - 1)))
+    result = construction4_decompose(ms, phi)
+    kernel_labels, packing = reference.decompose(ms, phi)
+    assert result.kernel_part.labels == kernel_labels
+    assert tuple(p.labels for p in result.packing) == packing
+
+
+# -- a group above 256 elements (list-valued subset sums) --------------------
+
+
+@given(st.data())
+def test_predicates_on_a_group_above_256_elements(data):
+    ms = data.draw(multisets(BIG, 9))
+    assert is_zero_sum_free(ms) is reference.is_zero_sum_free(ms)
+    check_subsets(ms)
+    closed = data.draw(multisets(BIG, 8, nonzero=True, closed=True))
+    assert is_minimal_zero_sum(closed) is reference.is_minimal_zero_sum(closed)
+    check_factorizations(closed)
+
+
+# -- answers past the direct-scan limit --------------------------------------
+
+
+def test_many_distinct_values_past_the_scan_limit():
+    # 20 elements (h, 1) and 20 elements (h, 2): eight distinct values, and
+    # the last coordinates sum to 60 < 64, so every nonempty subsum is
+    # nonzero. Too many multiplicity vectors for the vector route.
+    els = [(h % 4, 1) for h in range(20)] + [(h % 4, 2) for h in range(20)]
+    ms = IndexedMultiset.from_elements(C4_C64, els, max_size=40)
+    assert ms.size > config.DIRECT_SCAN_LIMIT
+    assert is_zero_sum_free(ms)
+    closed = els + [C4_C64.neg(_sum(C4_C64, els))]
+    atom = IndexedMultiset.from_elements(C4_C64, closed, max_size=41)
+    assert is_minimal_zero_sum(atom)
+    assert not is_zero_sum_free(atom)
