@@ -215,9 +215,17 @@ def serialize_catalog(catalog: AtomCatalog) -> str:
         f"complete={'1' if catalog.complete else '0'}",
         f"count={catalog.count}",
     ]
-    for atom in catalog.atoms():
-        lines.append(" ".join(",".join(str(r) for r in el) for el in atom))
+    text = _ElementText().__getitem__
+    lines.extend(" ".join(map(text, atom)) for atom in catalog.atoms())
     return "\n".join(lines) + "\n"
+
+
+class _ElementText(dict):
+    """Element -> "r1,r2,..." text, each element formatted once."""
+
+    def __missing__(self, el: Element) -> str:
+        text = self[el] = ",".join(map(str, el))
+        return text
 
 
 def parse_catalog(text: str) -> AtomCatalog:

@@ -110,11 +110,18 @@ def dump_record(record: dict) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory and os.replace."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write through a temporary file in the same directory and os.replace.
+
+    A missing directory is created when a write into it fails, instead of
+    being checked before every write.
+    """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -19,7 +19,8 @@ uniquely into minimal zero-sum blocks: counting factorizations directly
 intersection (the classical characterization). Verification mode runs both
 and raises on disagreement. Multisets past the direct-scan limit are
 decided by an equivalent closure test on multiplicity vectors, which works
-when they have few distinct elements.
+when they have few distinct elements; when it gives up, an atom is still
+answered (it factors uniquely into itself).
 """
 
 from __future__ import annotations
@@ -324,7 +325,14 @@ def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
     if verify is None:
         verify = config.VERIFICATION_MODE
     if ms.size > config.DIRECT_SCAN_LIMIT:
-        return _ufim_by_multiplicity(ms)
+        try:
+            return _ufim_by_multiplicity(ms)
+        except ResourceLimitError:
+            # An atom is its own unique factorization; the support test
+            # answers that at any size.
+            if is_minimal_zero_sum(ms):
+                return True
+            raise
     answer = count_factorizations(ms, cap=2) == 1
     if verify:
         other = is_ufim_by_intersection(ms)

@@ -72,6 +72,9 @@ __all__ = [
 
 RECORD_VERSION = 1
 
+# Invariants whose results carry a witness reproducing the value.
+_WITNESSED = ("D", "N1", "K", "k", "K1")
+
 
 @dataclass
 class InvariantResult:
@@ -84,11 +87,16 @@ class InvariantResult:
     complete: bool = True
 
     def verify(self) -> bool:
-        """Recompute the witness's defining predicate and measure."""
+        """Recompute the witness's defining predicate and measure.
+
+        A D, N1, K, k or K1 result without a witness stands for the empty
+        one, so it verifies only with value 0. Other results carry no
+        witness to check.
+        """
         from .factorization import is_minimal_zero_sum, is_zero_sum_free
 
         if self.witness is None:
-            return True
+            return self.invariant not in _WITNESSED or self.value == 0
         w = self.witness
         if self.invariant == "D":
             return is_minimal_zero_sum(w) and Fraction(w.size) == self.value
@@ -155,14 +163,13 @@ def _cached(
     if record is None or record.get("incomplete"):
         return None
     # A record that does not decode, or whose witness does not reproduce
-    # its value, is a miss: the caller recomputes and rewrites it. A record
-    # without a witness stands for the empty one, whose measure is 0.
+    # its value, is a miss: the caller recomputes and rewrites it.
     try:
         result = from_record(group, record)
         valid = result.invariant == invariant and result.verify()
     except (KeyError, TypeError, ValueError, ZerosumsError):
         return None
-    if not valid or (result.witness is None and result.value != 0):
+    if not valid:
         return None
     result.provenance = "cached"
     return result

@@ -4,7 +4,9 @@ Bound expressions are a rational part plus rational multiples of log2(q) and
 ln(q) for positive rational q. Powers of two fold into the rational part, so
 exact comparisons stay exact; everything else is certified by interval
 arithmetic with escalating precision. A comparison never returns an
-uncertified verdict.
+uncertified verdict. mpmath is imported by the methods that do interval
+arithmetic, so building and adding bounds, and exact comparisons, never
+load it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-import mpmath
-from mpmath import iv
-from mpmath.libmp import fzero, mpf_cmp
 
 from .errors import CertificationError, DomainError
 
@@ -113,6 +111,8 @@ class LogBound:
     # -- certified comparisons ------------------------------------------
 
     def _interval(self, prec: int):
+        from mpmath import iv
+
         saved = iv.prec
         try:
             iv.prec = prec
@@ -133,6 +133,8 @@ class LogBound:
         """Certified sign; zero only for symbolically exact zero."""
         if self.is_exact:
             return (self.exact > 0) - (self.exact < 0)
+        from mpmath.libmp import fzero, mpf_cmp
+
         prec = 64
         while prec <= _MAX_PREC:
             box = self._interval(prec)
@@ -165,6 +167,9 @@ class LogBound:
         """A certified rational upper bound, rounded outward to 10^-digits."""
         if self.is_exact:
             return self.exact
+        import mpmath
+        from mpmath import iv
+
         box = self._interval(128)
         scale = 10**digits
         scaled = box * iv.mpf(scale)

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Literal
 
-from .atoms import AtomCatalog, cross_weights
+from .atoms import AtomCatalog
 from .errors import DomainError
 from .groups import FiniteAbelianGroup, GroupTable, group_table
 
@@ -60,24 +59,32 @@ class _BudgetHit(Exception):
     pass
 
 
-def _entries(
-    table: GroupTable, catalog: AtomCatalog, kind: Literal["cross", "size"]
-) -> tuple[list[int], list[tuple[int, ...]], list[int], list[int]]:
-    """Per atom in (length, codes) order: length, codes, integer measure, and
-    the mask of its proper nonempty subset sums."""
+# Per atom: length, codes, and the mask of its proper nonempty subset sums.
+Rows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+# Rows of the last (table, catalog) searched. N1 and K1 of one group share
+# them; the identity checks keep a rebuilt table or catalog from reusing
+# stale rows, and the next group replaces them.
+_ROWS: tuple[GroupTable, AtomCatalog, Rows] | None = None
+
+
+def _rows(table: GroupTable, catalog: AtomCatalog) -> Rows:
+    """Per atom in (length, codes) order: length, codes, and the mask of its
+    proper nonempty subset sums. The catalog must not be empty."""
+    global _ROWS
+    memo = _ROWS
+    if memo is not None and memo[0] is table and memo[1] is catalog:
+        return memo[2]
     code = table.code
-    weight = cross_weights(table.group) if kind == "cross" else None
+    sumset = table.sumset
     rows = []
     for atom in catalog.atoms():
         codes = tuple([code[el] for el in atom])
-        if weight is None:
-            measure = len(atom)
-        else:
-            measure = sum([weight[el] for el in atom])
-        rows.append((len(atom), codes, measure, table.sumset(codes) & ~1))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    lengths, codes, measures, crossers = (list(col) for col in zip(*rows))
-    return lengths, codes, measures, crossers
+        rows.append((len(atom), codes, sumset(codes) & ~1))
+    rows.sort()  # (length, codes) is unique per atom
+    lengths, codes, crossers = zip(*rows)
+    _ROWS = (table, catalog, (lengths, codes, crossers))
+    return lengths, codes, crossers
 
 
 class _BudgetState:
@@ -125,7 +132,12 @@ def maximize_over_ufims(
             f"floor value {floor_value} is not a multiple of 1/{scale}"
         )
     floor = scaled_floor.numerator
-    lengths, codes, measures, crossers = _entries(table, catalog, kind)
+    lengths, codes, crossers = _rows(table, catalog)
+    if kind == "size":
+        measures = lengths
+    else:  # cross numbers scaled by exp(G)
+        weight = [scale // o for o in table.order]
+        measures = [sum([weight[c] for c in block]) for block in codes]
     count = len(lengths)
     minkowski = table.minkowski
     m_cap = n.bit_length() - 1
@@ -194,6 +206,8 @@ def maximize_over_ufims(
     if workers <= 1 or budget_state.nodes_left is not None:
         results = [run_branch(i) for i in branches]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_branch, branches))
 
@@ -229,7 +243,7 @@ def iter_ufims(
     if n == 1 or catalog.count == 0:
         return
     table = group_table(group)
-    lengths, codes, _, crossers = _entries(table, catalog, "size")
+    lengths, codes, crossers = _rows(table, catalog)
     m_cap = n.bit_length() - 1
     if max_blocks is not None:
         m_cap = min(m_cap, max_blocks)

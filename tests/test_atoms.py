@@ -148,3 +148,21 @@ def test_catalog_serialization_bit_exact(tmp_path):
     again = ResultCache(tmp_path).catalog(group, group.order)
     assert again == first == catalog
     assert path.read_bytes() == bytes_first
+
+
+def reference_atom_lines(catalog):
+    """The atom lines as first written: every element joined per occurrence."""
+    return [" ".join(",".join(str(r) for r in el) for el in atom)
+            for atom in catalog.atoms()]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [g for n in range(1, 17) for g in abelian_groups_of_order(n)],
+    ids=lambda g: g.key,
+)
+def test_serialization_matches_per_element_join(group):
+    catalog = atom_catalog(group)
+    lines = serialize_catalog(catalog).split("\n")
+    assert lines[-1] == ""
+    assert lines[5:-1] == reference_atom_lines(catalog)

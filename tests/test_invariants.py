@@ -39,7 +39,7 @@ from zerosums.errors import (
     ResourceLimitError,
 )
 from zerosums.groups import group_table, is_prime
-from zerosums.invariants import from_record, to_record
+from zerosums.invariants import InvariantResult, from_record, to_record
 from zerosums.logbounds import LogBound
 
 
@@ -112,7 +112,7 @@ def test_k1_examples():
 
 
 def test_witnesses_verify():
-    for group in (G(4), G(6), G(2, 2), G(8)):
+    for group in [g for n in range(1, 17) for g in abelian_groups_of_order(n)]:
         for func in (davenport, big_cross_K, little_cross_k, narkiewicz_n1, k1):
             result = func(group)
             assert result.verify(), (group.key, result.invariant)
@@ -123,6 +123,32 @@ def test_trivial_group_invariants_are_zero():
     for func in (davenport, big_cross_K, little_cross_k, narkiewicz_n1, k1):
         result = func(t)
         assert result.value == 0 and result.witness is None
+        assert result.verify(), result.invariant
+
+
+def test_witnessless_result_verifies_only_at_zero():
+    result = k1(G(4))
+    result.witness = None
+    assert not result.verify()  # value 3/2
+    result.value = Fraction(7, 2)
+    assert not result.verify()
+    result.value = Fraction(0)
+    assert result.verify()
+    for invariant in ("D", "N1", "K", "k"):
+        result.invariant = invariant
+        result.value = Fraction(1)
+        assert not result.verify(), invariant
+        result.value = Fraction(0)
+        assert result.verify(), invariant
+
+
+def test_formula_and_bound_results_verify_without_a_witness():
+    stats = k1(G(4)).stats
+    for invariant in ("K1star", "bound:gaowang-log", "bound:girard"):
+        result = InvariantResult(
+            G(4), invariant, Fraction(7, 2), None, stats, "formula"
+        )
+        assert result.verify(), invariant
 
 
 def test_search_order_cap():

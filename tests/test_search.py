@@ -10,12 +10,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zerosums import constructions
-from zerosums.atoms import atom_catalog, enumerate_atoms
+from zerosums.atoms import atom_catalog, clear_catalog_memory, enumerate_atoms
 from zerosums.errors import DomainError
 from zerosums.groups import abelian_groups_up_to, group_table, normalize_group
 from zerosums.invariants import k1, narkiewicz_n1, to_record
 from zerosums.multisets import cross_number
-from zerosums.search import Budget, maximize_over_ufims
+from zerosums.search import Budget, iter_ufims, maximize_over_ufims
 
 
 def G(*moduli):
@@ -167,3 +167,43 @@ def test_node_budgeted_records_identical_across_workers(search):
     assert records[0]["incomplete"]
     assert records[0] == records[1] == records[2]
 
+
+
+# -- rows shared by the searches of one group -----------------------------------
+
+
+def search_records(group, order):
+    run = {"N1": narkiewicz_n1, "K1": k1}
+    return {name: to_record(run[name](group)) for name in order}
+
+
+def ufim_listing(group):
+    return list(iter_ufims(group, atom_catalog(group)))
+
+
+@pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.key)
+def test_shared_search_rows_are_invisible(group):
+    expected = search_records(group, ("N1", "K1"))
+    assert search_records(group, ("K1", "N1")) == expected
+    clear_catalog_memory()
+    group_table.cache_clear()
+    assert search_records(group, ("N1", "K1")) == expected
+    listing = ufim_listing(group)
+    assert search_records(group, ("K1", "N1")) == expected
+    assert ufim_listing(group) == listing
+
+
+def test_search_rows_follow_the_catalog():
+    # Same group and table, another catalog object: the rows of the first
+    # catalog must not be reused for the second.
+    group = G(2, 4)
+    short = enumerate_atoms(group, 3)
+    for catalog in (atom_catalog(group), short, atom_catalog(group), short):
+        for kind in ("cross", "size"):
+            floor = (Fraction(0), ())
+            got = maximize_over_ufims(group, catalog, kind, *floor)
+            want = reference.maximize_over_ufims(group, catalog, kind, *floor)
+            assert (got.value, got.witness_codes) == (want.value, want.witness_codes)
+            assert (got.stats.nodes, got.stats.prunes) == (
+                want.stats.nodes, want.stats.prunes
+            )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zerosums import config
 from zerosums.constructions import construction4_decompose
-from zerosums.errors import NotUniqueFactorizationError
+from zerosums.errors import NotUniqueFactorizationError, ResourceLimitError
 from zerosums.factorization import (
     count_factorizations,
     is_minimal_zero_sum,
@@ -222,3 +222,20 @@ def test_many_distinct_values_past_the_scan_limit():
     atom = IndexedMultiset.from_elements(C4_C64, closed, max_size=41)
     assert is_minimal_zero_sum(atom)
     assert not is_zero_sum_free(atom)
+
+
+def test_atom_past_the_vector_cap_is_a_ufim():
+    # The vector route gives up on the 41-element atom above; an atom
+    # factors uniquely into itself, so is_ufim still answers. A zero-sum
+    # multiset that is not an atom is still refused there.
+    els = [(h % 4, 1) for h in range(20)] + [(h % 4, 2) for h in range(20)]
+    closed = els + [C4_C64.neg(_sum(C4_C64, els))]
+    atom = IndexedMultiset.from_elements(C4_C64, closed, max_size=41)
+    assert is_ufim(atom)
+    x = (1, 3)
+    wider = IndexedMultiset.from_elements(
+        C4_C64, closed + [x, C4_C64.neg(x)], max_size=43
+    )
+    assert not is_minimal_zero_sum(wider)
+    with pytest.raises(ResourceLimitError):
+        is_ufim(wider)
