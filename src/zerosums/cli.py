@@ -59,6 +59,11 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 EXIT_RESOURCE = 5
 
+# One table per kind of invariant, keyed by CLI name. The computed entries
+# call through this module's names, so a wrapper installed on those names
+# (perfbench/tracer.py) sees every call.
+
+# Closed forms of the group; a catalog column is the name with "star" as "*".
 _FORMULAS = {
     "Dstar": lambda g: Fraction(d_star(g)),
     "N1star": lambda g: Fraction(n1_star(g)),
@@ -67,14 +72,26 @@ _FORMULAS = {
     "K1star": k1_star,
 }
 
-_SEARCHES = ("D", "N1", "K", "k", "K1")
+# Read off the atom catalog, up to config.ATOM_ORDER_CAP.
+_ATOM_INVARIANTS = {
+    "D": lambda g, cache, budget: davenport(g, cache=cache),
+    "K": lambda g, cache, budget: big_cross_K(g, cache=cache),
+    "k": lambda g, cache, budget: little_cross_k(g, cache=cache),
+}
 
-_BOUNDS = (
-    "bound:girard",
-    "bound:gaowang-log",
-    "bound:k-plus-inv-exp",
-    "bound:asymptote-gap",
-)
+# Unique-factorization searches, up to config.SEARCH_ORDER_CAP, budgeted.
+_SEARCHES = {
+    "N1": lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
+    "K1": lambda g, cache, budget: k1(g, cache=cache, budget=budget),
+}
+
+# Named upper bounds: CLI name -> key of upper_bounds().
+_BOUNDS = {
+    "bound:girard": "girard_two_little_k",
+    "bound:gaowang-log": "gao_wang_log",
+    "bound:k-plus-inv-exp": "little_k_plus_inv_exponent",
+    "bound:asymptote-gap": "asymptote_gap",
+}
 
 
 class UsageError(ZerosumsError, ValueError):
@@ -128,44 +145,26 @@ def _budget(args) -> Budget | None:
 
 
 def _compute_invariant(
-    group: FiniteAbelianGroup, name: str, cache, budget, workers
+    group: FiniteAbelianGroup, name: str, cache, budget
 ) -> InvariantResult:
     if name in _FORMULAS:
         return InvariantResult(
             group, name, _FORMULAS[name](group), None, SearchStats(), "formula"
         )
-    if name == "D":
-        return davenport(group, cache=cache)
-    if name == "K":
-        return big_cross_K(group, cache=cache)
-    if name == "k":
-        return little_cross_k(group, cache=cache)
-    if name == "K1":
-        return k1(group, cache=cache, budget=budget, workers=workers)
-    if name == "N1":
-        return narkiewicz_n1(group, cache=cache, budget=budget, workers=workers)
-    if name.startswith("bound:"):
-        bounds = upper_bounds(group, cache=cache)
-        key = {
-            "bound:girard": "girard_two_little_k",
-            "bound:gaowang-log": "gao_wang_log",
-            "bound:k-plus-inv-exp": "little_k_plus_inv_exponent",
-            "bound:asymptote-gap": "asymptote_gap",
-        }.get(name)
-        if key is None:
-            raise UsageError(f"unknown bound {name!r}")
-        value = bounds[key]
-        rational = value if isinstance(value, Fraction) else value.upper_rational()
-        return InvariantResult(group, name, rational, None, SearchStats(), "formula")
-    raise UsageError(f"unknown invariant {name!r}")
+    compute = _ATOM_INVARIANTS.get(name) or _SEARCHES.get(name)
+    if compute is not None:
+        return compute(group, cache, budget)
+    if name not in _BOUNDS:
+        raise UsageError(f"unknown invariant {name!r}")
+    value = upper_bounds(group, cache=cache)[_BOUNDS[name]]
+    rational = value if isinstance(value, Fraction) else value.upper_rational()
+    return InvariantResult(group, name, rational, None, SearchStats(), "formula")
 
 
 def cmd_invariant(args) -> int:
     group = parse_group_spec(args.group)
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
-    result = _compute_invariant(
-        group, args.invariant, cache, _budget(args), args.workers
-    )
+    result = _compute_invariant(group, args.invariant, cache, _budget(args))
     if args.format == "json":
         sys.stdout.write(dump_record(to_record(result)))
     else:
@@ -203,9 +202,7 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError(f"unknown theorem {args.theorem!r}")
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
-    report = verify_family(
-        args.theorem, params, cache=cache, budget=_budget(args), workers=args.workers
-    )
+    report = verify_family(args.theorem, params, cache=cache, budget=_budget(args))
     if args.format == "json":
         payload = {
             "theorem": report.theorem,
@@ -285,48 +282,28 @@ def cmd_catalog(args) -> int:
     any_incomplete = False
     for group in abelian_groups_up_to(args.max_order):
         row: dict = {"group": group.key}
+        for name, formula in _FORMULAS.items():
+            row[name.replace("star", "*")] = format_value(formula(group))
         provenances = set()
-        starred = {
-            "D*": Fraction(d_star(group)),
-            "N1*": Fraction(n1_star(group)),
-            "K*": K_star(group),
-            "k*": k_star(group),
-            "K1*": k1_star(group),
-        }
-        for label, value in starred.items():
-            row[label] = format_value(value)
-        atom_ok = group.order <= config.ATOM_ORDER_CAP
-        search_ok = group.order <= config.SEARCH_ORDER_CAP
-        for label, func, enabled in (
-            ("D", davenport, atom_ok),
-            ("K", big_cross_K, atom_ok),
-            ("k", little_cross_k, atom_ok),
+        exact = {}
+        for table, cap in (
+            (_ATOM_INVARIANTS, config.ATOM_ORDER_CAP),
+            (_SEARCHES, config.SEARCH_ORDER_CAP),
         ):
-            if enabled:
-                res = func(group, cache=cache)
-                row[label] = format_value(res.value)
-                provenances.add(res.provenance)
-            else:
-                row[label] = "-"
-        k1_value = None
-        for label, func, enabled in (
-            ("N1", narkiewicz_n1, search_ok),
-            ("K1", k1, search_ok),
-        ):
-            if enabled:
-                res = func(group, cache=cache, budget=budget, workers=args.workers)
+            for name, compute in table.items():
+                if group.order > cap:
+                    row[name] = "-"
+                    continue
+                res = compute(group, cache, budget)
                 provenances.add(res.provenance)
                 if res.complete:
-                    row[label] = format_value(res.value)
-                    if label == "K1":
-                        k1_value = res.value
+                    row[name] = format_value(res.value)
+                    exact[name] = res.value
                 else:
-                    row[label] = f">={format_value(res.value)} (incomplete)"
+                    row[name] = f">={format_value(res.value)} (incomplete)"
                     any_incomplete = True
-            else:
-                row[label] = "-"
-        if k1_value is not None:
-            row["K1 gap"] = format_value(k1_value - k1_star(group))
+        if "K1" in exact:
+            row["K1 gap"] = format_value(exact["K1"] - k1_star(group))
         else:
             row["K1 gap"] = "-"
         row["provenance"] = (
@@ -355,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-seconds", type=float, default=None)
         p.add_argument("--max-size", type=int, default=None,
                        help="multiset size cap (bitmask width)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility and ignored; "
+                       "searches run on one thread")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--verify-mode", action="store_true",
                        help="run both unique-factorization algorithms and compare")
@@ -366,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("-g", "--group", required=True,
                        help="comma-separated moduli, e.g. 4,2 or 2^2,3")
     p_inv.add_argument("-i", "--invariant", required=True,
-                       help="D N1 K k K1 Dstar N1star Kstar kstar K1star bound:...")
+                       help=" ".join(
+                           [*_ATOM_INVARIANTS, *_SEARCHES, *_FORMULAS, *_BOUNDS]
+                       ))
     p_inv.add_argument("--witness", action="store_true")
     common(p_inv)
     p_inv.set_defaults(func=cmd_invariant)
@@ -401,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = config.MAX_MULTISET_SIZE, config.VERIFICATION_MODE
     if args.max_size is not None:
         config.MAX_MULTISET_SIZE = args.max_size
     if args.verify_mode:
@@ -416,6 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     except ZerosumsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        config.MAX_MULTISET_SIZE, config.VERIFICATION_MODE = saved
 
 
 if __name__ == "__main__":

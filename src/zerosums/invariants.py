@@ -288,7 +288,6 @@ def _search_invariant(
     *,
     cache: ResultCache | None,
     budget: Budget | None,
-    workers: int,
     order_cap: int | None,
 ) -> InvariantResult:
     got = _cached(group, invariant, cache)
@@ -316,7 +315,7 @@ def _search_invariant(
     )
     catalog = _catalog_for(group, cache)
     outcome = maximize_over_ufims(
-        group, catalog, kind, floor_value, floor_codes, budget=budget, workers=workers
+        group, catalog, kind, floor_value, floor_codes, budget=budget
     )
     witness = _witness_from_codes(group, outcome.witness_codes)
     result = InvariantResult(
@@ -344,9 +343,10 @@ def k1(
 
     Full branch-and-bound search seeded with the componentwise tower witness;
     on budget exhaustion the incumbent is returned with complete=False.
+    The search runs on one thread; ``workers`` is accepted and ignored.
     """
     return _search_invariant(
-        group, "K1", cache=cache, budget=budget, workers=workers, order_cap=order_cap
+        group, "K1", cache=cache, budget=budget, order_cap=order_cap
     )
 
 
@@ -358,9 +358,12 @@ def narkiewicz_n1(
     workers: int = 1,
     order_cap: int | None = None,
 ) -> InvariantResult:
-    """Exact maximum size of a unique-factorization multiset."""
+    """Exact maximum size of a unique-factorization multiset.
+
+    The search runs on one thread; ``workers`` is accepted and ignored.
+    """
     return _search_invariant(
-        group, "N1", cache=cache, budget=budget, workers=workers, order_cap=order_cap
+        group, "N1", cache=cache, budget=budget, order_cap=order_cap
     )
 
 
@@ -638,11 +641,14 @@ def verify_family(
     budget: Budget | None = None,
     workers: int = 1,
 ) -> FamilyReport:
-    """Check one theorem family on a parameter grid by exact computation."""
+    """Check one theorem family on a parameter grid by exact computation.
+
+    ``workers`` is accepted and ignored, as in ``k1``.
+    """
     report = FamilyReport(theorem)
 
     def k1_value(g: FiniteAbelianGroup) -> tuple[Fraction, bool, InvariantResult]:
-        res = k1(g, cache=cache, budget=budget, workers=workers)
+        res = k1(g, cache=cache, budget=budget)
         return res.value, res.complete, res
 
     if theorem == "gaowang":
@@ -701,8 +707,8 @@ def verify_family(
     elif theorem == "n1k1":
         p, n = params["p"], params["n"]
         g = normalize_group([p] * n)
-        n1_res = narkiewicz_n1(g, cache=cache, budget=budget, workers=workers)
-        k1_res = k1(g, cache=cache, budget=budget, workers=workers)
+        n1_res = narkiewicz_n1(g, cache=cache, budget=budget)
+        k1_res = k1(g, cache=cache, budget=budget)
         complete = n1_res.complete and k1_res.complete
         report.instances.append(
             InstanceCheck(
@@ -718,7 +724,7 @@ def verify_family(
         if p == q or not all(len(factorize(x)) == 1 for x in (p, q)):
             raise DomainError("needs two distinct primes")
         g = normalize_group([p * q])
-        res = k1(g, cache=cache, budget=budget, workers=workers)
+        res = k1(g, cache=cache, budget=budget)
         if not res.complete:
             report.instances.append(
                 InstanceCheck(

@@ -14,11 +14,12 @@ to at most |G|), the block-count bound, and an optimistic value bound
 against the incumbent. Measures are integers, cross numbers scaled by
 exp(G); the value becomes a Fraction once, in the outcome.
 
-Results are deterministic for any worker count: each root branch (choice of
-first atom) is explored with its own incumbent seeded from the caller's
-floor, and branch outcomes merge by (value, canonically least witness). A
-node budget is spent by the branches serially in order, so a node-budgeted
-run gives the same outcome for every worker count.
+The root branches (choices of first atom) run one after another, in order,
+on one thread. Each starts from its own incumbent seeded from the caller's
+floor, not from the best value found so far, so the nodes a branch visits
+and prunes do not depend on the branches before it; the outcome is the best
+(value, canonically least witness) over the branches. A budget stops the
+search at the first branch that exhausts it.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ def maximize_over_ufims(
     floor_value: Fraction,
     floor_witness_codes: tuple[int, ...],
     budget: Budget | None = None,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Exact maximum of the measure over unique-factorization unions of atoms."""
     start = time.perf_counter()
@@ -144,86 +144,68 @@ def maximize_over_ufims(
     suffix_max = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
         suffix_max[i] = max(measures[i], suffix_max[i + 1])
-    budget_state = _BudgetState(budget)
-    spend = budget_state.spend
+    spend = _BudgetState(budget).spend
     budgeted = budget is not None
+    best_value = floor
+    best_witness = floor_witness = tuple(sorted(floor_witness_codes))
+    nodes = crossing = product = bound = 0
+    chosen: list[int] = []
 
-    def run_branch(
-        first: int,
-    ) -> tuple[int, tuple[int, ...], tuple[int, int, int, int], bool]:
-        nodes = crossing = product = bound = 0
-        best_value = floor
-        best_witness = tuple(sorted(floor_witness_codes))
-        chosen: list[int] = []
+    def accept(j: int, m: int, prod: int, value: int, supp: int):
+        """Take atom j as block m + 1 and search the extensions."""
+        nonlocal inc_value, inc_witness
+        block = codes[j]
+        chosen.extend(block)
+        value += measures[j]
+        if value >= inc_value:
+            witness = tuple(sorted(chosen))
+            if value > inc_value or witness < inc_witness:
+                inc_value = value
+                inc_witness = witness
+        dfs(j, m + 1, prod * lengths[j], value, minkowski(supp, block))
+        del chosen[-len(block) :]
 
-        def accept(j: int, m: int, prod: int, value: int, supp: int):
-            """Take atom j as block m + 1 and search the extensions."""
-            nonlocal best_value, best_witness
-            block = codes[j]
-            chosen.extend(block)
-            value += measures[j]
-            if value >= best_value:
-                witness = tuple(sorted(chosen))
-                if value > best_value or witness < best_witness:
-                    best_value = value
-                    best_witness = witness
-            dfs(j, m + 1, prod * lengths[j], value, minkowski(supp, block))
-            del chosen[-len(block) :]
+    def dfs(min_idx: int, m: int, prod: int, value: int, supp: int):
+        nonlocal nodes, crossing, product, bound
+        slots = min(m_cap - m, (n // prod).bit_length() - 1)
+        if slots <= 0:
+            return
+        if value + slots * suffix_max[min_idx] < inc_value:
+            bound += 1
+            return
+        for j in range(min_idx, count):
+            if prod * lengths[j] > n:
+                product += 1
+                break
+            if budgeted:
+                spend()
+            nodes += 1
+            if supp & crossers[j]:
+                crossing += 1
+                continue
+            accept(j, m, prod, value, supp)
 
-        def dfs(min_idx: int, m: int, prod: int, value: int, supp: int):
-            nonlocal nodes, crossing, product, bound
-            slots = min(m_cap - m, (n // prod).bit_length() - 1)
-            if slots <= 0:
-                return
-            if value + slots * suffix_max[min_idx] < best_value:
-                bound += 1
-                return
-            for j in range(min_idx, count):
-                if prod * lengths[j] > n:
-                    product += 1
-                    break
-                if budgeted:
-                    spend()
-                nodes += 1
-                if supp & crossers[j]:
-                    crossing += 1
-                    continue
-                accept(j, m, prod, value, supp)
-
-        finished = True
+    for first in range(count):
+        inc_value, inc_witness = floor, floor_witness
         try:
             spend()
             nodes += 1  # a single atom always has unique factorization
             accept(first, 0, 1, 0, 1)
         except _BudgetHit:
-            finished = False
-        # accept and dfs hold each other through their closures; dropping
-        # the names frees the cycle, and the tables it holds, at once.
-        del accept, dfs
-        return best_value, best_witness, (nodes, crossing, product, bound), finished
-
-    branches = range(count)
-    if workers <= 1 or budget_state.nodes_left is not None:
-        results = [run_branch(i) for i in branches]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_branch, branches))
-
-    best_value = floor
-    best_witness = tuple(sorted(floor_witness_codes))
-    totals = [0, 0, 0, 0]
-    for value, witness, counts, ok in results:
-        totals = [t + c for t, c in zip(totals, counts)]
-        stats.complete = stats.complete and ok
-        if value > best_value or (value == best_value and witness < best_witness):
-            best_value = value
-            best_witness = witness
-    stats.nodes = totals[0]
-    stats.prunes.update(
-        {k: v for k, v in zip(("crossing", "product", "bound"), totals[1:]) if v}
-    )
+            stats.complete = False
+        if inc_value > best_value or (
+            inc_value == best_value and inc_witness < best_witness
+        ):
+            best_value = inc_value
+            best_witness = inc_witness
+        if not stats.complete:
+            break
+    # accept and dfs hold each other through their closures; dropping the
+    # names frees the cycle, and the tables it holds, at once.
+    del accept, dfs
+    stats.nodes = nodes
+    prunes = {"crossing": crossing, "product": product, "bound": bound}
+    stats.prunes.update({k: v for k, v in prunes.items() if v})
     stats.millis = int((time.perf_counter() - start) * 1000)
     return SearchOutcome(Fraction(best_value, scale), best_witness, stats)
 

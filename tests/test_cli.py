@@ -1,6 +1,9 @@
+import argparse
 import json
+from fractions import Fraction
 
-from zerosums.cli import main
+from zerosums import cli, config
+from zerosums.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -207,3 +210,70 @@ def test_cache_hit_with_a_wrong_value_is_recomputed(tmp_path, capsys):
         assert path.read_text() == whole
     code, out, _ = run(capsys, *argv)
     assert code == 0 and json.loads(out)["provenance"] == "cached"
+
+
+def test_main_restores_the_config_it_sets(monkeypatch, capsys):
+    monkeypatch.setattr(config, "VERIFICATION_MODE", False)
+    size = config.MAX_MULTISET_SIZE
+    argv = ["invariant", "-g", "4", "-i", "D", "--verify-mode", "--max-size", "10"]
+    assert run(capsys, *argv)[0] == 0
+    assert (config.VERIFICATION_MODE, config.MAX_MULTISET_SIZE) == (False, size)
+    # also when the command fails
+    assert run(capsys, "invariant", "-g", "40", "-i", "K1", "--max-size", "10")[0] == 5
+    assert config.MAX_MULTISET_SIZE == size
+
+
+def test_unknown_names_exit_before_computing(monkeypatch, capsys):
+    # Past the atom cap: nothing to compute, and still a usage error.
+    code, _, err = run(capsys, "invariant", "-g", "128", "-i", "bound:nope")
+    assert code == 2 and "unknown invariant 'bound:nope'" in err
+    calls = []
+    monkeypatch.setattr(cli, "upper_bounds", lambda *a, **k: calls.append(a) or {})
+    for name in ("bound:nope", "nope"):
+        code, _, err = run(capsys, "invariant", "-g", "2,16", "-i", name)
+        assert code == 2 and f"unknown invariant {name!r}" in err
+    assert calls == []
+
+
+def _invariant_help() -> str:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(
+        a for a in sub.choices["invariant"]._actions if a.dest == "invariant"
+    ).help
+
+
+def test_invariant_help_lists_the_registry(capsys):
+    names = _invariant_help().split()
+    registry = [
+        *cli._ATOM_INVARIANTS, *cli._SEARCHES, *cli._FORMULAS, *cli._BOUNDS
+    ]
+    assert sorted(names) == sorted(registry)
+    for name in names:
+        assert run(capsys, "invariant", "-g", "2,2", "-i", name)[0] == 0
+
+
+def test_catalog_and_invariant_agree(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "catalog", "--max-order", "8", "--format", "json",
+        "--cache-dir", str(tmp_path / "catalog"),
+    )
+    assert code == 0
+    rows = json.loads(out)
+    columns = {
+        **{name.replace("star", "*"): name for name in cli._FORMULAS},
+        **{name: name for name in (*cli._ATOM_INVARIANTS, *cli._SEARCHES)},
+    }
+    assert len(rows) == 10
+    for row in rows:
+        assert set(row) == {*columns, "group", "K1 gap", "provenance"}
+        for column, name in columns.items():
+            code, out, _ = run(
+                capsys, "invariant", "-g", row["group"].replace("x", ","),
+                "-i", name, "--format", "json",
+                "--cache-dir", str(tmp_path / "invariant"),
+            )
+            assert code == 0
+            assert Fraction(row[column]) == Fraction(json.loads(out)["value"]), (
+                row["group"], name
+            )

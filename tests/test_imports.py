@@ -1,6 +1,9 @@
 """A CLI process loads only what its command runs: mpmath for certified log
-bounds and the thread pool for workers > 1, each on first use."""
+bounds, on first use. Searches run on one thread whatever ``workers`` says,
+and no module of the package imports concurrent.futures, threading or
+multiprocessing."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,8 +50,8 @@ from zerosums.invariants import to_record
 group = normalize_group([2, 4])
 serial = to_record(k1(group, workers=1))
 steps["serial_search"] = "concurrent.futures" in sys.modules
-pooled = to_record(k1(group, workers=2))
-steps["pooled"] = [pooled == serial, "concurrent.futures" in sys.modules]
+ignored = to_record(k1(group, workers=2))
+steps["workers_ignored"] = [ignored == serial, "concurrent.futures" in sys.modules]
 print(json.dumps(steps))
 """
 
@@ -74,4 +77,28 @@ def test_cli_loads_lazy_modules_only_on_first_use(tmp_path):
     # ln 6 + log2(6) / 2 = 3.0842..., rounded up to six digits.
     assert steps["bound"] == [0, "3084241/1000000", True]
     assert steps["serial_search"] is False
-    assert steps["pooled"] == [True, True]
+    assert steps["workers_ignored"] == [True, False]
+
+
+POOL_MODULES = ("concurrent.futures", "threading", "multiprocessing")
+
+
+def imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            # from concurrent import futures
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_package_imports_no_thread_or_process_pool():
+    package = Path(zerosums.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in imported_modules(tree):
+            if any(name == m or name.startswith(m + ".") for m in POOL_MODULES):
+                offenders.append(f"{path.name}: {name}")
+    assert offenders == []
