@@ -13,14 +13,20 @@ Every subset scan runs on the ``GroupTable`` subset-sum primitive:
   by meet-in-the-middle over two halves beyond it. A zero-sum subset is a
   minimal block when it passes the minimality test above.
 
-Two independent algorithms decide whether a zero-sum multiset factors
-uniquely into minimal zero-sum blocks: counting factorizations directly
-(the definition) and checking that the zero-sum subsets are closed under
-intersection (the classical characterization). Verification mode runs both
-and raises on disagreement. Multisets past the direct-scan limit are
-decided by an equivalent closure test on multiplicity vectors, which works
-when they have few distinct elements; when it gives up, an atom is still
-answered (it factors uniquely into itself).
+``is_ufim`` decides unique factorization at every size in O(l^2 * |G| / 8)
+lookups, so no input is refused for its size. It peels one factorization:
+the first s_i with -s_i a subset sum of the zero-sum-free prefix before it
+closes a block (walk the prefix supports back to pick the summands), which
+is minimal because that prefix is zero-sum free; remove it and repeat. Then
+it tests crossings, as ``search.maximize_over_ufims`` does: if
+B_1..B_{j-1} factor uniquely, adding the atom B_j keeps that unless some
+subset sum of B_1..B_{j-1} lies in the nonzero subset sums of B_j. In a
+unique-factorization multiset every zero-sum subsequence is a union of
+blocks, so a crossing at any step refutes uniqueness. Counting
+factorizations (the definition) and the closure of the zero-sum subsets
+under intersection (the classical characterization) stay as independent
+oracles; verification mode checks ``is_ufim`` against the latter up to
+the direct-scan limit.
 """
 
 from __future__ import annotations
@@ -142,76 +148,42 @@ def _minimal_masks(zs_masks: Sequence[int], codes: Sequence[int], table) -> list
     return out
 
 
-# -- multiplicity-vector route ------------------------------------------------
+# -- unique factorization by peeling ----------------------------------------
 
 
-def _distinct_counts(ms: IndexedMultiset) -> tuple[list[int], list[int], "object"]:
-    """Distinct element codes (ascending) with multiplicities."""
-    table = group_table(ms.group)
-    counts: dict[int, int] = {}
-    for _, el in ms.items:
-        c = table.encode(el)
-        counts[c] = counts.get(c, 0) + 1
-    values = sorted(counts)
-    return values, [counts[v] for v in values], table
-
-
-def _zero_sum_vectors(
-    values: Sequence[int], counts: Sequence[int], table
-) -> list[tuple[int, ...]]:
-    """All multiplicity vectors x (0 <= x_i <= c_i) whose weighted sum is 0."""
-    add = table.add
-    d = len(values)
-    out: list[tuple[int, ...]] = []
-    budget = [config.VECTOR_CAP]
-
-    def rec(i: int, s: int, prefix: list[int]) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceLimitError("too many multiplicity vectors")
-        if i == d:
-            if s == 0:
-                out.append(tuple(prefix))
-            return
-        v = values[i]
-        cur = s
-        for x in range(counts[i] + 1):
-            prefix.append(x)
-            rec(i + 1, cur, prefix)
-            prefix.pop()
-            cur = add[cur][v]
-
-    rec(0, 0, [])
-    return out
-
-
-def _ufim_by_multiplicity(ms: IndexedMultiset) -> bool:
-    """Intersection-closure test expressed on multiplicity vectors.
-
-    Index subsets realizing zero-sum vectors x and y intersect in every
-    vector of the box [max(0, x+y-c), min(x, y)]; closure holds exactly when
-    each such box is a single zero-sum point.
-    """
-    values, counts, table = _distinct_counts(ms)
-    vectors = _zero_sum_vectors(values, counts, table)
-    vecset = set(vectors)
-    d = len(values)
-    for a in range(len(vectors)):
-        x = vectors[a]
-        for b in range(a, len(vectors)):
-            y = vectors[b]
-            meet = []
-            for i in range(d):
-                lo = x[i] + y[i] - counts[i]
-                if lo < 0:
-                    lo = 0
-                hi = x[i] if x[i] < y[i] else y[i]
-                if lo != hi:
-                    return False
-                meet.append(hi)
-            if tuple(meet) not in vecset:
-                return False
-    return True
+def _peel(codes: Sequence[int], table) -> tuple[list[list[int]], bool]:
+    """One factorization of the zero-sum sequence codes into minimal blocks
+    (ascending positions, in peel order), and whether it is the only one."""
+    add, neg, translate = table.add, table.neg, table.translate
+    rest = list(range(len(codes)))  # positions not in a block yet
+    supps = [1]  # supps[k]: subset sums of the codes at rest[:k]
+    blocks: list[list[int]] = []
+    i = 0
+    while i < len(rest):
+        supp, c = supps[i], codes[rest[i]]
+        t = neg[c]
+        if not supp >> t & 1:
+            supps.append(supp | translate(supp, c))
+            i += 1
+            continue
+        picked = [i]
+        for k in range(i - 1, -1, -1):
+            if not supps[k] >> t & 1:
+                picked.append(k)
+                t = add[t][neg[codes[rest[k]]]]
+        blocks.append([rest[k] for k in reversed(picked)])
+        for k in picked:
+            del rest[k]
+        i = picked[-1]
+        del supps[i + 1 :]
+    supp, last = 1, len(blocks) - 1
+    for j, block in enumerate(blocks):
+        block_codes = [codes[p] for p in block]
+        if j and supp & table.sumset(block_codes) & ~1:
+            return blocks, False
+        if j < last:
+            supp = table.minkowski(supp, block_codes)
+    return blocks, True
 
 
 # -- predicates ---------------------------------------------------------------
@@ -223,9 +195,11 @@ def is_zero_sum(s: IndexedMultiset | IndexSubset) -> bool:
     return sigma(s) == s.group.zero()
 
 
-def _require_over_nonzero(ms: IndexedMultiset, what: str) -> None:
+def _require_zero_sum(ms: IndexedMultiset, what: str) -> None:
     if ms.has_zero:
         raise PreconditionError(f"{what} requires a multiset over G\\{{0}}")
+    if not is_zero_sum(ms):
+        raise PreconditionError(f"{what} requires a zero-sum multiset")
 
 
 def is_minimal_zero_sum(ms: IndexedMultiset) -> bool:
@@ -256,9 +230,7 @@ def zero_sum_subsets(ms: IndexedMultiset) -> list[IndexSubset]:
 
 
 def _factorization_context(ms: IndexedMultiset):
-    _require_over_nonzero(ms, "factorization")
-    if not is_zero_sum(ms):
-        raise PreconditionError("factorization requires a zero-sum multiset")
+    _require_zero_sum(ms, "factorization")
     labels, codes, masks, table = _zero_sum_masks(ms)
     return labels, _minimal_masks(masks, codes, table)
 
@@ -285,13 +257,9 @@ def _iter_block_partitions(
 
 def count_factorizations(ms: IndexedMultiset, cap: int | None = None) -> int:
     """Number of distinct irreducible factorizations; counting stops at cap."""
-    if ms.size == 0:
-        _factorization_context(ms)
-        return 1
     labels, minimal = _factorization_context(ms)
-    full = (1 << len(labels)) - 1
     count = 0
-    for _ in _iter_block_partitions(minimal, full):
+    for _ in _iter_block_partitions(minimal, (1 << len(labels)) - 1):
         count += 1
         if cap is not None and count >= cap:
             return count
@@ -300,9 +268,7 @@ def count_factorizations(ms: IndexedMultiset, cap: int | None = None) -> int:
 
 def is_ufim_by_intersection(ms: IndexedMultiset) -> bool:
     """Unique factorization via closure of zero-sum subsets under intersection."""
-    _require_over_nonzero(ms, "unique-factorization test")
-    if not is_zero_sum(ms):
-        raise PreconditionError("unique-factorization test requires zero sum")
+    _require_zero_sum(ms, "unique-factorization test")
     masks = _zero_sum_masks(ms)[2]
     present = set(masks)
     for i in range(len(masks)):
@@ -316,41 +282,35 @@ def is_ufim_by_intersection(ms: IndexedMultiset) -> bool:
 def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
     """Whether ms factors uniquely into minimal zero-sum blocks.
 
-    With verification on, the counting answer is cross-checked against the
-    intersection-closure characterization.
+    Peels one factorization and tests its crossings, at every size. With
+    verification on, the answer is cross-checked against the
+    intersection-closure characterization up to the direct-scan limit.
     """
-    _require_over_nonzero(ms, "unique-factorization test")
-    if not is_zero_sum(ms):
-        raise PreconditionError("unique-factorization test requires zero sum")
+    _require_zero_sum(ms, "unique-factorization test")
     if verify is None:
         verify = config.VERIFICATION_MODE
-    if ms.size > config.DIRECT_SCAN_LIMIT:
-        try:
-            return _ufim_by_multiplicity(ms)
-        except ResourceLimitError:
-            # An atom is its own unique factorization; the support test
-            # answers that at any size.
-            if is_minimal_zero_sum(ms):
-                return True
-            raise
-    answer = count_factorizations(ms, cap=2) == 1
-    if verify:
+    _, codes, table = _codes(ms)
+    answer = _peel(codes, table)[1]
+    if verify and ms.size <= config.DIRECT_SCAN_LIMIT:
         other = is_ufim_by_intersection(ms)
         if other != answer:
             raise OracleDisagreementError(
                 f"unique-factorization algorithms disagree on {ms!r}: "
-                f"counting={answer}, intersection={other}"
+                f"peeling={answer}, intersection={other}"
             )
     return answer
 
 
 def unique_factorization(ms: IndexedMultiset) -> Factorization:
     """The single irreducible factorization; raises with two witnesses otherwise."""
-    if ms.size == 0:
-        _factorization_context(ms)
-        return Factorization(ms, frozenset())
+    _require_zero_sum(ms, "factorization")
+    labels, codes, table = _codes(ms)
+    blocks, unique = _peel(codes, table)
+    if unique:
+        return Factorization(
+            ms, frozenset(frozenset(labels[p] for p in b) for b in blocks)
+        )
     labels, minimal = _factorization_context(ms)
-    full = (1 << len(labels)) - 1
 
     def to_blocks(masks: tuple[int, ...]) -> frozenset[frozenset[int]]:
         return frozenset(
@@ -358,11 +318,11 @@ def unique_factorization(ms: IndexedMultiset) -> Factorization:
             for m in masks
         )
 
-    found = list(itertools.islice(_iter_block_partitions(minimal, full), 2))
-    if len(found) > 1:
-        raise NotUniqueFactorizationError(
-            f"{ms!r} admits several irreducible factorizations",
-            first=Factorization(ms, to_blocks(found[0])),
-            second=Factorization(ms, to_blocks(found[1])),
-        )
-    return Factorization(ms, to_blocks(found[0]))
+    first, second = itertools.islice(
+        _iter_block_partitions(minimal, (1 << len(labels)) - 1), 2
+    )
+    raise NotUniqueFactorizationError(
+        f"{ms!r} admits several irreducible factorizations",
+        first=Factorization(ms, to_blocks(first)),
+        second=Factorization(ms, to_blocks(second)),
+    )

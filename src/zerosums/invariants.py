@@ -75,6 +75,10 @@ RECORD_VERSION = 1
 # Invariants whose results carry a witness reproducing the value.
 _WITNESSED = ("D", "N1", "K", "k", "K1")
 
+# Proven lower bounds of the cached invariants: each is attained by a
+# construction, so a smaller cached value is wrong.
+_LOWER_BOUNDS = {"D": d_star, "N1": n1_star, "K": K_star, "k": k_star, "K1": k1_star}
+
 
 @dataclass
 class InvariantResult:
@@ -162,11 +166,16 @@ def _cached(
     record = cache.get_record(group.key, invariant)
     if record is None or record.get("incomplete"):
         return None
-    # A record that does not decode, or whose witness does not reproduce
-    # its value, is a miss: the caller recomputes and rewrites it.
+    # A record that does not decode, whose witness does not reproduce its
+    # value, or whose value is below the proven lower bound is a miss: the
+    # caller recomputes and rewrites it.
     try:
         result = from_record(group, record)
-        valid = result.invariant == invariant and result.verify()
+        valid = (
+            result.invariant == invariant
+            and result.value >= _LOWER_BOUNDS[invariant](group)
+            and result.verify()
+        )
     except (KeyError, TypeError, ValueError, ZerosumsError):
         return None
     if not valid:

@@ -212,6 +212,24 @@ def test_cache_hit_with_a_wrong_value_is_recomputed(tmp_path, capsys):
     assert code == 0 and json.loads(out)["provenance"] == "cached"
 
 
+def test_cache_hit_below_the_lower_bound_is_recomputed(tmp_path, capsys):
+    # [1, 1, 1, 1] over C_4 is a real UFIM of cross number 1, so the edited
+    # record passes verify(); but K1(C_4) >= K1*(C_4) = 3/2.
+    argv = ["invariant", "-g", "4", "-i", "K1", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    path = tmp_path / "results-v1" / "4__K1.json"
+    whole = path.read_text()
+    edit = {"value": "1/1", "witness": [[1], [1], [1], [1]]}
+    record = dict(json.loads(whole), **edit)
+    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    served = json.loads(out)
+    assert served["value"] == "3/2" and served["provenance"] == "computed"
+    assert path.read_text() == whole
+
+
 def test_main_restores_the_config_it_sets(monkeypatch, capsys):
     monkeypatch.setattr(config, "VERIFICATION_MODE", False)
     size = config.MAX_MULTISET_SIZE

@@ -21,7 +21,8 @@ from zerosums import (
     zero_sum_subsets,
 )
 from zerosums.errors import NotUniqueFactorizationError, PreconditionError
-from zerosums.factorization import _ufim_by_multiplicity
+from zerosums.factorization import _codes, _peel
+from ufim_vector_reference import ufim_by_multiplicity
 
 
 def ms(spec, elements, **kw):
@@ -194,8 +195,9 @@ def test_oracle_equivalence_small_exhaustive():
                 s = IndexedMultiset.from_elements(group, combo)
                 by_count = count_factorizations(s, cap=2) == 1
                 by_intersection = is_ufim_by_intersection(s)
-                by_vectors = _ufim_by_multiplicity(s) if combo else True
-                assert by_count == by_intersection == by_vectors, combo
+                by_vectors = ufim_by_multiplicity(s) if combo else True
+                by_peel = _peel(*_codes(s)[1:])[1]
+                assert by_count == by_intersection == by_vectors == by_peel, combo
 
 
 def test_against_naive_definition_oracle():

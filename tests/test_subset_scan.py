@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from zerosums import config
 from zerosums.constructions import construction4_decompose
-from zerosums.errors import NotUniqueFactorizationError, ResourceLimitError
+from zerosums.errors import NotUniqueFactorizationError
 from zerosums.factorization import (
+    _codes,
+    _peel,
     count_factorizations,
     is_minimal_zero_sum,
     is_ufim,
@@ -177,6 +179,21 @@ def test_factorizations_match_reference(group, data):
     check_factorizations(data.draw(multisets(group, 8, nonzero=True, closed=True)))
 
 
+@pytest.mark.parametrize("group", GROUPS_TO_16 + [BIG], ids=key)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_peeled_blocks_factor_the_multiset(group, data):
+    ms = data.draw(multisets(group, 8, nonzero=True, closed=True))
+    labels, codes, table = _codes(ms)
+    blocks, unique = _peel(codes, table)
+    assert sorted(p for block in blocks for p in block) == list(range(ms.size))
+    for block in blocks:
+        part = ms.submultiset(labels[p] for p in block)
+        assert reference.is_minimal_zero_sum(part)
+    assert unique is reference.is_ufim(ms)
+    assert is_ufim(ms) is unique
+
+
 @pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
 @settings(max_examples=15)
 @given(data=st.data())
@@ -225,9 +242,8 @@ def test_many_distinct_values_past_the_scan_limit():
 
 
 def test_atom_past_the_vector_cap_is_a_ufim():
-    # The vector route gives up on the 41-element atom above; an atom
-    # factors uniquely into itself, so is_ufim still answers. A zero-sum
-    # multiset that is not an atom is still refused there.
+    # The multiplicity vectors of the 41-element atom above exceed
+    # VECTOR_CAP; peeling answers at any size, for atoms and non-atoms.
     els = [(h % 4, 1) for h in range(20)] + [(h % 4, 2) for h in range(20)]
     closed = els + [C4_C64.neg(_sum(C4_C64, els))]
     atom = IndexedMultiset.from_elements(C4_C64, closed, max_size=41)
@@ -237,5 +253,12 @@ def test_atom_past_the_vector_cap_is_a_ufim():
         C4_C64, closed + [x, C4_C64.neg(x)], max_size=43
     )
     assert not is_minimal_zero_sum(wider)
-    with pytest.raises(ResourceLimitError):
-        is_ufim(wider)
+    assert is_ufim(wider) is False
+    # Besides {atom, {x, -x}}: (1, 1) + (0, 2) + (3, 61) = 0 takes labels 1
+    # and 20 of the atom and -x (label 42); the rest, with x, has last
+    # coordinates summing to 64, so no proper part of it is zero-sum.
+    block = {1, 20, 42}
+    rest = set(wider.labels) - block
+    assert [wider.element_at(l) for l in sorted(block)] == [(1, 1), (0, 2), (3, 61)]
+    assert is_minimal_zero_sum(wider.submultiset(block))
+    assert is_minimal_zero_sum(wider.submultiset(rest))
