@@ -57,9 +57,6 @@ class AtomCatalog:
                 return atoms
         return ()
 
-    def to_multiset(self, atom: tuple[Element, ...]) -> IndexedMultiset:
-        return IndexedMultiset.from_elements(self.group, atom)
-
 
 def enumerate_atoms(
     group: FiniteAbelianGroup,

@@ -132,7 +132,10 @@ def parse_hom_spec(group: FiniteAbelianGroup, spec: str):
         if kind == "images":
             target_spec, _, payload = rest.partition(":")
             target = parse_group_spec(target_spec)
-            return make_hom(group, target, json.loads(payload))
+            images = json.loads(payload)
+            if not isinstance(images, list):
+                raise ValueError("images must be a JSON list")
+            return make_hom(group, target, images)
     except (ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"malformed hom spec {spec!r}: {exc}") from exc
     raise UsageError(f"unknown hom spec kind {kind!r}")
@@ -227,10 +230,19 @@ def cmd_verify(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         payload = json.loads(Path(args.multiset).read_text(encoding="utf-8"))
-        group = parse_group_spec(payload["group"])
-        ms = IndexedMultiset.from_elements(group, payload["elements"])
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read multiset file {args.multiset!r}: {exc}") from exc
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("group"), str)
+        and isinstance(payload.get("elements"), list)
+    ):
+        raise UsageError(
+            f"multiset file {args.multiset!r} must hold an object with a "
+            'string "group" and a list "elements"'
+        )
+    group = parse_group_spec(payload["group"])
+    ms = IndexedMultiset.from_elements(group, payload["elements"])
     phi = parse_hom_spec(group, args.hom)
     decomposition = construction4_decompose(ms, phi)
     cache = ResultCache(resolve_cache_dir(args.cache_dir))

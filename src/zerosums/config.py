@@ -6,11 +6,10 @@ Values are module level so tests and the CLI can adjust them in place.
 # Index labels of one multiset must fit a fixed-width bitmask.
 MAX_MULTISET_SIZE = 40
 
-# Subset listing (zero_sum_subsets and the factorization counts) reads the
-# full 2^l subset-sum table up to this size and meets in the middle of two
-# 2^(l/2) tables beyond it. is_ufim, is_zero_sum_free and
-# is_minimal_zero_sum read supports at every size and do not depend on it,
-# except that verification mode cross-checks is_ufim only up to this size.
+# Verification mode cross-checks is_ufim against the intersection-closure
+# test only up to this size. Nothing else reads it: subset listing meets in
+# the middle at every size. It stays because the benchmark pins the full
+# config and its worker refuses to start on a missing field.
 DIRECT_SCAN_LIMIT = 20
 
 # Listed zero-sum subsets per call before a resource-limit error.

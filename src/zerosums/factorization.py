@@ -6,15 +6,16 @@ Every subset scan runs on the ``GroupTable`` subset-sum primitive:
   s_i has -s_i among the subset sums of s_1..s_{i-1}
   (``GroupTable.zero_sum_free``), and a zero-sum S is minimal exactly when
   S without its last element is zero-sum free (a proper zero-sum subset or
-  its complement misses that element). Both cost O(l * |G| / 8) lookups at
-  every size l.
-* Subset listings read ``GroupTable.subset_sums``, the sum of every subset
-  indexed by mask: directly up to ``config.DIRECT_SCAN_LIMIT`` elements, and
-  by meet-in-the-middle over two halves beyond it. A zero-sum subset is a
-  minimal block when it passes the minimality test above.
+  its complement misses that element). Both cost O(l * rank(G))
+  shift-and-mask steps on |G|-bit masks at every size l.
+* Subset listings meet in the middle: ``GroupTable.subset_sums`` gives the
+  sum of every subset of each half, indexed by mask, and a zero-sum subset
+  joins a subset of the first half with one of the second half of the
+  opposite sum. A zero-sum subset is a minimal block when it passes the
+  minimality test above.
 
-``is_ufim`` decides unique factorization at every size in O(l^2 * |G| / 8)
-lookups, so no input is refused for its size. It peels one factorization:
+``is_ufim`` decides unique factorization at every size in O(l^2 * rank(G))
+such steps, so no input is refused for its size. It peels one factorization:
 the first s_i with -s_i a subset sum of the zero-sum-free prefix before it
 closes a block (walk the prefix supports back to pick the summands), which
 is minimal because that prefix is zero-sum free; remove it and repeat. Then
@@ -26,7 +27,7 @@ blocks, so a crossing at any step refutes uniqueness. Counting
 factorizations (the definition) and the closure of the zero-sum subsets
 under intersection (the classical characterization) stay as independent
 oracles; verification mode checks ``is_ufim`` against the latter up to
-the direct-scan limit.
+``config.DIRECT_SCAN_LIMIT`` elements.
 """
 
 from __future__ import annotations
@@ -86,16 +87,8 @@ def _codes(ms: IndexedMultiset) -> tuple[list[int], list[int], "object"]:
     return labels, codes, table
 
 
-def _zero_sum_masks_direct(codes: Sequence[int], table, cap: int) -> list[int]:
-    """All subset masks with zero sum, read from the full subset-sum table."""
-    sums = table.subset_sums(codes)
-    if sums.count(0) > cap:
-        raise ResourceLimitError("too many zero-sum subsets")
-    return masks_with_sum(sums, 0)
-
-
 def _zero_sum_masks_mitm(codes: Sequence[int], table, cap: int) -> list[int]:
-    """Zero-sum masks by meet-in-the-middle, for sizes past the scan limit."""
+    """Zero-sum masks, ascending, by meet-in-the-middle of two halves."""
     h = len(codes) // 2
     neg = table.neg
     lo = table.subset_sums(codes[:h])
@@ -122,10 +115,7 @@ def _zero_sum_masks(
         raise ResourceLimitError(
             f"multiset size {len(codes)} exceeds cap {config.MAX_MULTISET_SIZE}"
         )
-    if len(codes) <= config.DIRECT_SCAN_LIMIT:
-        masks = _zero_sum_masks_direct(codes, table, config.SUBSET_OUTPUT_CAP)
-    else:
-        masks = _zero_sum_masks_mitm(codes, table, config.SUBSET_OUTPUT_CAP)
+    masks = _zero_sum_masks_mitm(codes, table, config.SUBSET_OUTPUT_CAP)
     return labels, codes, masks, table
 
 
@@ -284,7 +274,8 @@ def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
 
     Peels one factorization and tests its crossings, at every size. With
     verification on, the answer is cross-checked against the
-    intersection-closure characterization up to the direct-scan limit.
+    intersection-closure characterization up to ``config.DIRECT_SCAN_LIMIT``
+    elements.
     """
     _require_zero_sum(ms, "unique-factorization test")
     if verify is None:

@@ -9,6 +9,7 @@ canonical element order used everywhere downstream.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -135,7 +136,12 @@ class FiniteAbelianGroup:
     # -- elements ----------------------------------------------------------
 
     def element(self, residues: Iterable[int]) -> Element:
-        rs = tuple(residues)
+        try:
+            rs = tuple(operator.index(r) for r in residues)
+        except TypeError as exc:
+            raise DomainError(
+                f"element residues must be integers, got {residues!r}"
+            ) from exc
         if len(rs) != self.rank:
             raise DomainError(
                 f"element needs {self.rank} residues for {self}, got {len(rs)}"
@@ -172,11 +178,6 @@ class FiniteAbelianGroup:
     def elements(self) -> Iterator[Element]:
         """All elements in lexicographic (canonical) order."""
         return itertools.product(*(range(n) for n in self.invariant_factors))
-
-    def nonzero_elements(self) -> Iterator[Element]:
-        it = self.elements()
-        next(it)
-        return it
 
 
 def element_order(group: FiniteAbelianGroup, g: Element) -> int:
@@ -247,15 +248,6 @@ def make_hom(
 ) -> Homomorphism:
     images = tuple(target.element(img) for img in generator_images)
     return Homomorphism(source, target, images)
-
-
-def identity_hom(group: FiniteAbelianGroup) -> Homomorphism:
-    images = []
-    for j in range(group.rank):
-        v = [0] * group.rank
-        v[j] = 1
-        images.append(tuple(v))
-    return Homomorphism(group, group, tuple(images))
 
 
 def multiplication_hom(group: FiniteAbelianGroup, k: int) -> Homomorphism:
@@ -434,11 +426,18 @@ class GroupTable:
     such masks form the subset-sum-support primitive of the atom and
     unique-factorization searches and of the zero-sum predicates;
     ``subset_sums`` lists the sum of every subset of a sequence, for the
-    scans that need the subsets themselves. Translation tables are built per
-    element on first use and kept on the table.
+    scans that need the subsets themselves.
+
+    The group adds each digit on its own, with no carry between digits, so
+    a mask moves by g one nonzero digit at a time: adding digit d at stride
+    h with modulus m sends x to x + d*h, or to x - (m-d)*h when that digit
+    wraps. ``rotations[g]`` holds one (d*h, hi, (m-d)*h, lo) per nonzero
+    digit of g, where hi is the set of codes whose digit there is >= d and
+    lo the rest, and the step is ``(mask << d*h) & hi | (mask >> (m-d)*h) &
+    lo``. All of it is built in the constructor; nothing is built on use.
     """
 
-    __slots__ = ("group", "n", "elements", "code", "add", "neg", "order", "_shift")
+    __slots__ = ("group", "n", "elements", "code", "add", "neg", "order", "rotations")
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
@@ -450,6 +449,7 @@ class GroupTable:
         add: list[tuple[int, ...]] = [(0,)]
         neg = [0]
         order = [1]
+        rotations: list[tuple[tuple[int, int, int, int], ...]] = [()]
         h = 1
         for m in reversed(group.invariant_factors):
             blocks = [[[r * h + x for x in row] for row in add] for r in range(m)]
@@ -462,11 +462,23 @@ class GroupTable:
                     add.append(tuple(row))
             neg = [(-r) % m * h + x for r in range(m) for x in neg]
             order = [lcm(m // gcd(m, r), o) for r in range(m) for o in order]
+            # A mask of H times spread is that mask at every digit r.
+            spread = sum(1 << r * h for r in range(m))
+            full = (1 << m * h) - 1
+            lifted = [
+                tuple((up, hi * spread, down, lo * spread) for up, hi, down, lo in rot)
+                for rot in rotations
+            ]
+            digit = [()] + [
+                ((r * h, full >> r * h << r * h, (m - r) * h, (1 << r * h) - 1),)
+                for r in range(1, m)
+            ]
+            rotations = [digit[r] + rot for r in range(m) for rot in lifted]
             h *= m
         self.add = tuple(add)
         self.neg = tuple(neg)
         self.order = tuple(order)
-        self._shift: list[tuple[tuple[int, ...], ...] | None] = [None] * self.n
+        self.rotations = tuple(rotations)
 
     def encode(self, g: Element) -> int:
         return self.code[g]
@@ -474,43 +486,20 @@ class GroupTable:
     def decode(self, c: int) -> Element:
         return self.elements[c]
 
-    def shift_row(self, g: int) -> tuple[tuple[int, ...], ...]:
-        """Per-byte translation tables of g, built on first use.
-
-        ``shift_row(g)[k][b]`` is the mask of x + g over the codes x set in
-        ``b << 8 * k``, so a translate costs one lookup per mask byte. The
-        last table is shorter when 8 does not divide |G|; masks hold no bit
-        at or above |G|.
-        """
-        row = self._shift[g]
-        if row is None:
-            n, col = self.n, self.add[g]
-            per_byte = []
-            for base in range(0, n, 8):
-                lut = [0]
-                for x in range(base, min(base + 8, n)):
-                    bit = 1 << col[x]
-                    lut += [v | bit for v in lut]
-                per_byte.append(tuple(lut))
-            row = self._shift[g] = tuple(per_byte)
-        return row
-
     def translate(self, mask: int, g: int) -> int:
         """The set mask + g."""
-        out = 0
-        for lut in self._shift[g] or self.shift_row(g):
-            out |= lut[mask & 0xFF]
-            mask >>= 8
-        return out
+        for up, hi, down, lo in self.rotations[g]:
+            mask = (mask << up) & hi | (mask >> down) & lo
+        return mask
 
     def minkowski(self, mask: int, codes: Iterable[int]) -> int:
         """The Minkowski sum of mask with the subset sums of codes."""
-        shift = self._shift
+        rotations = self.rotations
         for g in codes:
             m = mask
-            for lut in shift[g] or self.shift_row(g):
-                mask |= lut[m & 0xFF]
-                m >>= 8
+            for up, hi, down, lo in rotations[g]:
+                m = (m << up) & hi | (m >> down) & lo
+            mask |= m
         return mask
 
     def sumset(self, codes: Iterable[int]) -> int:
@@ -522,7 +511,7 @@ class GroupTable:
 
         A zero-sum subsequence T exists exactly when, for the last s_i in T,
         -s_i is a subset sum of s_1..s_{i-1}; so one pass over the prefix
-        supports decides it, |G|/8 lookups per element.
+        supports decides it, rank(G) shift-and-mask steps per element.
         """
         neg, translate = self.neg, self.translate
         supp = 1

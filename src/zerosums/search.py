@@ -213,7 +213,6 @@ def maximize_over_ufims(
 def iter_ufims(
     group: FiniteAbelianGroup,
     catalog: AtomCatalog,
-    max_blocks: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All unique-factorization unions of atoms, as tuples of code blocks.
 
@@ -227,8 +226,6 @@ def iter_ufims(
     table = group_table(group)
     lengths, codes, crossers = _rows(table, catalog)
     m_cap = n.bit_length() - 1
-    if max_blocks is not None:
-        m_cap = min(m_cap, max_blocks)
 
     blocks: list[tuple[int, ...]] = []
 

@@ -2,6 +2,8 @@ import argparse
 import json
 from fractions import Fraction
 
+import pytest
+
 from zerosums import cli, config
 from zerosums.cli import build_parser, main
 
@@ -140,6 +142,27 @@ def test_decompose_command(tmp_path, capsys):
     assert data["t"] == 0
     assert data["kernel_part"]["elements"] == [[2], [2]]
     assert all(row["passed"] for row in data["consequences"])
+
+
+GOOD_MULTISET = '{"group": "4", "elements": [[1], [3]]}'
+
+
+@pytest.mark.parametrize("multiset, hom", [
+    ("[1,2]", "mod:2"),
+    ('{"group": 4, "elements": [[1], [3]]}', "mod:2"),
+    ('{"group": "4", "elements": 5}', "mod:2"),
+    ('{"group": "4", "elements": [[1], "x"]}', "mod:2"),
+    ('{"group": "4", "elements": [[1.5], [2.5]]}', "mod:2"),
+    (GOOD_MULTISET, "images:4:5"),
+    (GOOD_MULTISET, 'images:4:[["a"]]'),
+    (GOOD_MULTISET, 'images:2:{"a":1}'),
+])
+def test_decompose_malformed_input_is_a_usage_error(tmp_path, capsys, multiset, hom):
+    path = tmp_path / "ms.json"
+    path.write_text(multiset, encoding="utf-8")
+    code, _, err = run(capsys, "decompose", "--multiset", str(path), "--hom", hom)
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_catalog_empty(capsys):

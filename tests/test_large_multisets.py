@@ -17,6 +17,7 @@ from zerosums import config
 from zerosums.errors import ResourceLimitError
 from zerosums.factorization import count_factorizations
 from ufim_vector_reference import ufim_by_multiplicity
+import subset_scan_reference as reference
 
 
 def test_minimal_zero_sum_vector_route():
@@ -85,11 +86,10 @@ def test_mitm_listing_matches_direct_scan():
     group = normalize_group([6])
     elements = [[1], [2], [3], [4], [5], [1], [2], [3]]
     s = IndexedMultiset.from_elements(group, elements)
-    direct = {frozenset(sub.labels) for sub in zero_sum_subsets(s)}
-    old = config.DIRECT_SCAN_LIMIT
-    try:
-        config.DIRECT_SCAN_LIMIT = 4  # force the meet-in-the-middle path
-        mitm = {frozenset(sub.labels) for sub in zero_sum_subsets(s)}
-    finally:
-        config.DIRECT_SCAN_LIMIT = old
+    labels, codes = reference.codes_of(s)
+    masks = reference.zero_sum_masks_direct(codes, reference.tables(group)[0])
+    direct = {
+        frozenset(labels[i] for i in range(len(labels)) if m >> i & 1) for m in masks
+    }
+    mitm = {frozenset(sub.labels) for sub in zero_sum_subsets(s)}
     assert direct == mitm

@@ -82,15 +82,8 @@ def check_subsets(ms):
     add, neg, _ = reference.tables(ms.group)
     expected = reference.zero_sum_masks_direct(codes, add)
     assert label_sets(zero_sum_subsets(ms)) == reference_label_sets(ms, expected)
-    old = config.DIRECT_SCAN_LIMIT
-    config.DIRECT_SCAN_LIMIT = 2  # meet-in-the-middle from three elements on
-    try:
-        got = label_sets(zero_sum_subsets(ms))
-    finally:
-        config.DIRECT_SCAN_LIMIT = old
     mitm = reference.zero_sum_masks_mitm(codes, add, neg, config.SUBSET_OUTPUT_CAP)
     assert mitm == expected
-    assert got == reference_label_sets(ms, expected)
 
 
 def check_factorizations(ms):
@@ -112,30 +105,19 @@ def check_factorizations(ms):
 def test_tables_match_pairwise_construction(group):
     table = GroupTable(group)
     assert (table.add, table.neg, table.order) == reference.tables(group)
-
-
-def test_shift_rows_are_built_on_first_use():
-    group = normalize_group([2, 24])
-    table = GroupTable(group)
-    assert table._shift == [None] * 48
-    table.translate(0b1011, 5)
-    table.minkowski(1, [7, 5, 7])
-    assert table.zero_sum_free([9])
-    assert [g for g, row in enumerate(table._shift) if row is not None] == [5, 7, 9]
+    add = table.add
+    # translate distributes over union, so single bits decide every mask.
+    for x in range(table.n):
+        for g in range(table.n):
+            assert table.translate(1 << x, g) == 1 << add[x][g]
 
 
 @given(st.data())
-def test_shift_rows_match_set_arithmetic(data):
+def test_translate_matches_set_arithmetic(data):
     group = data.draw(st.sampled_from(GROUPS_TO_16 + [normalize_group([8, 8]), BIG]))
     table = GroupTable(group)
     add = reference.tables(group)[0]
     g = data.draw(st.integers(0, table.n - 1))
-    row = table.shift_row(g)
-    assert len(row) == (table.n + 7) // 8
-    k = data.draw(st.integers(0, len(row) - 1))
-    b = data.draw(st.integers(0, len(row[k]) - 1))
-    xs = [8 * k + i for i in range(8) if b >> i & 1]
-    assert row[k][b] == sum(1 << c for c in {add[x][g] for x in xs})
     mask = data.draw(st.integers(0, (1 << table.n) - 1))
     shifted = {add[x][g] for x in range(table.n) if mask >> x & 1}
     assert table.translate(mask, g) == sum(1 << c for c in shifted)
@@ -170,6 +152,16 @@ def test_membership_tests_match_reference(group, data):
 @given(data=st.data())
 def test_subset_listing_matches_reference(group, data):
     check_subsets(data.draw(multisets(group, 10)))
+
+
+@pytest.mark.parametrize(
+    "moduli, elements",
+    [([2], [[1]] * 16), ([3], [[1]] * 8 + [[2]] * 8)],
+    ids=["2-sixteen-ones", "3-eight-ones-eight-twos"],
+)
+def test_dense_subset_listing_matches_reference(moduli, elements):
+    group = normalize_group(moduli)
+    check_subsets(IndexedMultiset.from_elements(group, elements))
 
 
 @pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
