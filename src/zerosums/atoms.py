@@ -5,9 +5,14 @@ prefix is kept only while zero-sum-free. Its subset sums are tracked as a
 support bitmask over element codes (``GroupTable.translate``): appending e
 keeps the prefix zero-sum-free exactly when -e is not a subset sum, and the
 new support is supp | (supp + e). Appending the negation of the running sum
-closes an atom. Generation in canonical order makes deduplication free and
-file output bit-reproducible. Cross numbers are summed as integers scaled by
-exp(G) (``cross_weights``) and become a Fraction once, for the result.
+closes an atom. Generation in canonical order makes deduplication free.
+Cross numbers are summed as integers scaled by exp(G) (``cross_weights``)
+and become a Fraction once, for the result.
+
+Catalogs live in memory only, one per group for the life of the process
+(``atom_catalog``). They are never written to disk: a catalog read back
+could not be checked without enumerating it again, and enumerating is no
+slower than parsing the text it would be read from.
 """
 
 from __future__ import annotations
@@ -22,10 +27,8 @@ from .errors import (
     IncompleteCatalogError,
     ResourceLimitError,
 )
-from .groups import Element, FiniteAbelianGroup, group_table, normalize_group
+from .groups import Element, FiniteAbelianGroup, group_table
 from .multisets import IndexedMultiset
-
-CATALOG_FORMAT = "zerosums-atoms/1"
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,7 @@ class AtomCatalog:
 
 
 def enumerate_atoms(
-    group: FiniteAbelianGroup,
-    max_len: int | None = None,
-    entry_cap: int | None = None,
+    group: FiniteAbelianGroup, max_len: int | None = None
 ) -> AtomCatalog:
     """Depth-first atom enumeration, complete for lengths up to max_len.
 
@@ -75,7 +76,7 @@ def enumerate_atoms(
         max_len = n
     if n > 1 and max_len < 2:
         raise DomainError("atom enumeration needs max_len >= 2")
-    cap = config.ATOM_ENTRY_CAP if entry_cap is None else entry_cap
+    cap = config.ATOM_ENTRY_CAP
     if n > config.ATOM_ORDER_CAP:
         raise ResourceLimitError(
             f"group order {n} exceeds atom catalog cap {config.ATOM_ORDER_CAP}"
@@ -129,20 +130,14 @@ def enumerate_atoms(
 
 # -- in-memory reuse ----------------------------------------------------------
 
-_MEMORY: dict[tuple[FiniteAbelianGroup, int], AtomCatalog] = {}
+_MEMORY: dict[FiniteAbelianGroup, AtomCatalog] = {}
 
 
-def atom_catalog(
-    group: FiniteAbelianGroup, max_len: int | None = None
-) -> AtomCatalog:
+def atom_catalog(group: FiniteAbelianGroup) -> AtomCatalog:
     """Complete catalog for the group, memoized for the process lifetime."""
-    if max_len is None:
-        max_len = group.order
-    key = (group, max_len)
-    got = _MEMORY.get(key)
+    got = _MEMORY.get(group)
     if got is None:
-        got = enumerate_atoms(group, max_len)
-        _MEMORY[key] = got
+        got = _MEMORY[group] = enumerate_atoms(group)
     return got
 
 
@@ -198,64 +193,3 @@ def cross_weights(group: FiniteAbelianGroup) -> dict[Element, int]:
     table = group_table(group)
     exp = group.exponent
     return {el: exp // o for el, o in zip(table.elements, table.order)}
-
-
-# -- persistence --------------------------------------------------------------
-
-
-def serialize_catalog(catalog: AtomCatalog) -> str:
-    """Versioned text form; bit-identical for a fixed format version."""
-    lines = [
-        CATALOG_FORMAT,
-        f"group={catalog.group.key}",
-        f"max_len={catalog.max_length_enumerated}",
-        f"complete={'1' if catalog.complete else '0'}",
-        f"count={catalog.count}",
-    ]
-    text = _ElementText().__getitem__
-    lines.extend(" ".join(map(text, atom)) for atom in catalog.atoms())
-    return "\n".join(lines) + "\n"
-
-
-class _ElementText(dict):
-    """Element -> "r1,r2,..." text, each element formatted once."""
-
-    def __missing__(self, el: Element) -> str:
-        text = self[el] = ",".join(map(str, el))
-        return text
-
-
-def parse_catalog(text: str) -> AtomCatalog:
-    if not text.endswith("\n"):
-        raise DomainError("truncated atom catalog")
-    lines = text.splitlines()
-    if lines[0] != CATALOG_FORMAT:
-        raise DomainError("unrecognized atom catalog format")
-    header: dict[str, str] = {}
-    for line in lines[1:5]:
-        key, _, value = line.partition("=")
-        header[key] = value
-    group = normalize_group(
-        [] if header["group"] == "1" else [int(x) for x in header["group"].split("x")]
-    )
-    found: dict[int, list[tuple[Element, ...]]] = {}
-    for line in lines[5:]:
-        if not line:
-            continue
-        atom = tuple(
-            tuple(int(r) for r in tok.split(",")) if tok else ()
-            for tok in line.split(" ")
-        )
-        if group.rank == 0:
-            raise DomainError("atom listed for the trivial group")
-        found.setdefault(len(atom), []).append(atom)
-    count = sum(len(v) for v in found.values())
-    if count != int(header["count"]):
-        raise DomainError("atom catalog count mismatch")
-    atoms_by_length = tuple((l, tuple(found[l])) for l in sorted(found))
-    return AtomCatalog(
-        group,
-        atoms_by_length,
-        int(header["max_len"]),
-        header["complete"] == "1",
-    )

@@ -162,9 +162,6 @@ class FiniteAbelianGroup:
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.invariant_factors))
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.invariant_factors))
-
     def scale(self, k: int, a: Element) -> Element:
         return tuple((k * x) % n for x, n in zip(a, self.invariant_factors))
 
@@ -201,10 +198,6 @@ def normalize_group(moduli: Iterable[int]) -> FiniteAbelianGroup:
 
 def trivial_group() -> FiniteAbelianGroup:
     return FiniteAbelianGroup((), ())
-
-
-def cyclic(n: int) -> FiniteAbelianGroup:
-    return normalize_group([n])
 
 
 # -- homomorphisms ----------------------------------------------------------

@@ -189,16 +189,12 @@ def _store(result: InvariantResult, cache: ResultCache | None) -> None:
         cache.put_record(to_record(result))
 
 
-def _catalog_for(
-    group: FiniteAbelianGroup, cache: ResultCache | None
-) -> AtomCatalog:
+def _catalog_for(group: FiniteAbelianGroup) -> AtomCatalog:
     if group.order > config.ATOM_ORDER_CAP:
         raise ResourceLimitError(
             f"group order {group.order} exceeds the atom-based cap "
             f"{config.ATOM_ORDER_CAP}"
         )
-    if cache is not None and cache.root is not None:
-        return cache.catalog(group, group.order)
     return atom_catalog(group)
 
 
@@ -223,7 +219,7 @@ def davenport(
     got = _cached(group, "D", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group, cache)
+    catalog = _catalog_for(group)
     stats = SearchStats(nodes=catalog.count)
     if catalog.count == 0:
         result = InvariantResult(group, "D", Fraction(0), None, stats, "computed")
@@ -247,7 +243,7 @@ def big_cross_K(
     got = _cached(group, "K", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group, cache)
+    catalog = _catalog_for(group)
     stats = SearchStats(nodes=catalog.count)
     weight = cross_weights(group)
     best = 0
@@ -278,7 +274,7 @@ def little_cross_k(
     got = _cached(group, "k", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group, cache)
+    catalog = _catalog_for(group)
     stats = SearchStats(nodes=catalog.count)
     value, witness = max_zero_sum_free_cross(group, catalog)
     result = InvariantResult(
@@ -297,15 +293,14 @@ def _search_invariant(
     *,
     cache: ResultCache | None,
     budget: Budget | None,
-    order_cap: int | None,
 ) -> InvariantResult:
     got = _cached(group, invariant, cache)
     if got is not None:
         return got
-    cap = config.SEARCH_ORDER_CAP if order_cap is None else order_cap
-    if group.order > cap:
+    if group.order > config.SEARCH_ORDER_CAP:
         raise ResourceLimitError(
-            f"group order {group.order} exceeds the search cap {cap}"
+            f"group order {group.order} exceeds the search cap "
+            f"{config.SEARCH_ORDER_CAP}"
         )
     table = group_table(group) if not group.is_trivial else None
     if invariant == "K1":
@@ -322,7 +317,7 @@ def _search_invariant(
         if table is not None
         else ()
     )
-    catalog = _catalog_for(group, cache)
+    catalog = _catalog_for(group)
     outcome = maximize_over_ufims(
         group, catalog, kind, floor_value, floor_codes, budget=budget
     )
@@ -346,7 +341,6 @@ def k1(
     cache: ResultCache | None = None,
     budget: Budget | None = None,
     workers: int = 1,
-    order_cap: int | None = None,
 ) -> InvariantResult:
     """Exact maximum cross number over unique-factorization multisets.
 
@@ -354,9 +348,7 @@ def k1(
     on budget exhaustion the incumbent is returned with complete=False.
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _search_invariant(
-        group, "K1", cache=cache, budget=budget, order_cap=order_cap
-    )
+    return _search_invariant(group, "K1", cache=cache, budget=budget)
 
 
 def narkiewicz_n1(
@@ -365,15 +357,12 @@ def narkiewicz_n1(
     cache: ResultCache | None = None,
     budget: Budget | None = None,
     workers: int = 1,
-    order_cap: int | None = None,
 ) -> InvariantResult:
     """Exact maximum size of a unique-factorization multiset.
 
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _search_invariant(
-        group, "N1", cache=cache, budget=budget, order_cap=order_cap
-    )
+    return _search_invariant(group, "N1", cache=cache, budget=budget)
 
 
 # -- bounds --------------------------------------------------------------------

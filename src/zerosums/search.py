@@ -45,7 +45,6 @@ class Budget:
 class SearchStats:
     nodes: int = 0
     prunes: Counter = field(default_factory=Counter)
-    millis: int = 0
     complete: bool = True
 
 
@@ -117,11 +116,9 @@ def maximize_over_ufims(
     budget: Budget | None = None,
 ) -> SearchOutcome:
     """Exact maximum of the measure over unique-factorization unions of atoms."""
-    start = time.perf_counter()
     n = group.order
     stats = SearchStats()
     if n == 1 or catalog.count == 0:
-        stats.millis = int((time.perf_counter() - start) * 1000)
         return SearchOutcome(floor_value, floor_witness_codes, stats)
 
     table = group_table(group)
@@ -206,7 +203,6 @@ def maximize_over_ufims(
     stats.nodes = nodes
     prunes = {"crossing": crossing, "product": product, "bound": bound}
     stats.prunes.update({k: v for k, v in prunes.items() if v})
-    stats.millis = int((time.perf_counter() - start) * 1000)
     return SearchOutcome(Fraction(best_value, scale), best_witness, stats)
 
 

@@ -7,6 +7,7 @@ from zerosums import (
     IndexedMultiset,
     abelian_groups_of_order,
     atom_catalog,
+    config,
     enumerate_atoms,
     is_minimal_zero_sum,
     is_zero_sum_free,
@@ -14,8 +15,6 @@ from zerosums import (
     normalize_group,
     trivial_group,
 )
-from zerosums.atoms import parse_catalog, serialize_catalog
-from zerosums.cache import ResultCache
 from zerosums.errors import IncompleteCatalogError, ResourceLimitError
 from zerosums.invariants import d_star
 
@@ -111,9 +110,10 @@ def test_incomplete_catalog_flag_and_error():
     assert enumerate_atoms(c4, 4).complete
 
 
-def test_entry_cap():
+def test_entry_cap(monkeypatch):
+    monkeypatch.setattr(config, "ATOM_ENTRY_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        enumerate_atoms(normalize_group([8]), 8, entry_cap=3)
+        enumerate_atoms(normalize_group([8]), 8)
 
 
 def test_max_zero_sum_free_cross_examples():
@@ -124,45 +124,3 @@ def test_max_zero_sum_free_cross_examples():
     assert max_zero_sum_free_cross(normalize_group([6]))[0] == Fraction(7, 6)
     value, witness = max_zero_sum_free_cross(normalize_group([2, 2]))
     assert value == 1 and is_zero_sum_free(witness)
-
-
-def test_trivial_catalog_serialization_round_trip():
-    catalog = atom_catalog(trivial_group())
-    text = serialize_catalog(catalog)
-    assert parse_catalog(text) == catalog
-
-
-def test_catalog_serialization_bit_exact(tmp_path):
-    group = normalize_group([2, 4])
-    catalog = atom_catalog(group)
-    text = serialize_catalog(catalog)
-    parsed = parse_catalog(text)
-    assert parsed == catalog
-    assert serialize_catalog(parsed) == text
-
-    cache = ResultCache(tmp_path)
-    first = cache.catalog(group, group.order)
-    path = cache._catalog_path(group, group.order)
-    assert path.exists()
-    bytes_first = path.read_bytes()
-    again = ResultCache(tmp_path).catalog(group, group.order)
-    assert again == first == catalog
-    assert path.read_bytes() == bytes_first
-
-
-def reference_atom_lines(catalog):
-    """The atom lines as first written: every element joined per occurrence."""
-    return [" ".join(",".join(str(r) for r in el) for el in atom)
-            for atom in catalog.atoms()]
-
-
-@pytest.mark.parametrize(
-    "group",
-    [g for n in range(1, 17) for g in abelian_groups_of_order(n)],
-    ids=lambda g: g.key,
-)
-def test_serialization_matches_per_element_join(group):
-    catalog = atom_catalog(group)
-    lines = serialize_catalog(catalog).split("\n")
-    assert lines[-1] == ""
-    assert lines[5:-1] == reference_atom_lines(catalog)

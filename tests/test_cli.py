@@ -1,10 +1,12 @@
 import argparse
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from zerosums import cli, config
+from zerosums.atoms import clear_catalog_memory
 from zerosums.cli import build_parser, main
 
 
@@ -202,18 +204,64 @@ def test_truncated_cache_files_are_recomputed(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     assert run(capsys, *argv, "--cache-dir", str(cache_dir))[0] == 0
     record = cache_dir / "results-v1" / "2_4__K1.json"
-    catalog = cache_dir / "atoms-v1" / "2_4__L8.txt"
-    whole_record, whole_catalog = record.read_bytes(), catalog.read_bytes()
+    whole_record = record.read_bytes()
     record.write_bytes(whole_record[: len(whole_record) // 2])
-    catalog.write_bytes(whole_catalog[: len(whole_catalog) - 3])
     code, out, err = run(capsys, *argv, "--cache-dir", str(cache_dir))
     assert code == 0 and not err
     assert json.loads(out) == json.loads(fresh)
     assert record.read_bytes() == whole_record
-    assert catalog.read_bytes() == whole_catalog
+    assert not (cache_dir / "atoms-v1").exists()
     assert sorted(p.name for p in cache_dir.rglob("*")) == sorted(
-        ["results-v1", "atoms-v1", record.name, catalog.name]
+        ["results-v1", record.name]
     )
+
+
+def write_stale_catalog(cache_dir, atom_lines):
+    """The C_4 catalog file that earlier versions wrote to the cache dir and
+    read back unchecked; its header counts the atom lines given."""
+    path = cache_dir / "atoms-v1" / "4__L4.txt"
+    path.parent.mkdir(parents=True)
+    header = ["zerosums-atoms/1", "group=4", "max_len=4", "complete=1",
+              f"count={len(atom_lines)}"]
+    path.write_text("\n".join(header + atom_lines) + "\n")
+
+
+C4_ATOM_LINES = ["1 3", "2 2", "1 1 2", "2 3 3", "1 1 1 1", "3 3 3 3"]
+
+
+def test_stale_catalog_without_the_longest_atoms_does_not_change_d(
+    tmp_path, capsys
+):
+    write_stale_catalog(tmp_path, C4_ATOM_LINES[:4])
+    code, out, _ = run(
+        capsys, "invariant", "-g", "4", "-i", "D", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert "value       4" in out
+    assert "provenance  computed" in out
+
+
+def test_stale_catalog_with_a_foreign_element_does_not_break_k1(
+    tmp_path, capsys
+):
+    write_stale_catalog(tmp_path, C4_ATOM_LINES + ["1 1 9"])
+    code, out, _ = run(
+        capsys, "invariant", "-g", "4", "-i", "K1", "--format", "json",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == "3/2"
+
+
+def test_elapsed_includes_the_catalog(tmp_path, capsys):
+    # D reads the C_24 catalog (28,064 atoms) and runs no search.
+    clear_catalog_memory()
+    code, _, err = run(
+        capsys, "invariant", "-g", "24", "-i", "D", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    match = re.fullmatch(r"elapsed (\d+) ms\n", err)
+    assert match and int(match.group(1)) >= 1
 
 
 def test_cache_hit_with_a_wrong_value_is_recomputed(tmp_path, capsys):

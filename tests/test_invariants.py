@@ -9,6 +9,7 @@ from zerosums import (
     abelian_groups_of_order,
     big_cross_K,
     check_size_limit,
+    config,
     cross_number,
     d_star,
     davenport,
@@ -151,10 +152,11 @@ def test_formula_and_bound_results_verify_without_a_witness():
         assert result.verify(), invariant
 
 
-def test_search_order_cap():
+def test_search_order_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
         k1(G(17))
-    assert k1(G(17), order_cap=17).value == 1
+    monkeypatch.setattr(config, "SEARCH_ORDER_CAP", 17)
+    assert k1(G(17)).value == 1
 
 
 def test_search_determinism_across_workers():
