@@ -86,7 +86,9 @@ def enumerate_atoms(
         return AtomCatalog(group, (), max_len, True)
 
     table = group_table(group)
-    add = table.add
+    # add[x][e] = x + e. n <= ATOM_ORDER_CAP, so n rows of n codes; tuples,
+    # since the search indexes them faster than bytes.
+    add = [tuple(table.row(x)) for x in range(n)]
     neg = table.neg
     elements = table.elements
     translate = table.translate

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -184,8 +185,15 @@ def cmd_verify(args) -> int:
     if args.theorem == "gaowang":
         if not args.orders:
             raise UsageError("--orders is required for gaowang")
-        lo, _, hi = args.orders.partition("..")
-        params["orders"] = range(int(lo), int(hi or lo) + 1)
+        bounds = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", args.orders)
+        if bounds:
+            lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+        if not bounds or not 1 <= lo <= hi:
+            raise UsageError(
+                f"malformed --orders {args.orders!r}: want LO or LO..HI, "
+                "positive integers with LO <= HI"
+            )
+        params["orders"] = range(lo, hi + 1)
     elif args.theorem in ("mainthm1", "mainthm2", "n1k1"):
         needed = {
             "mainthm1": ("p", "m", "n"),

@@ -144,7 +144,7 @@ def _minimal_masks(zs_masks: Sequence[int], codes: Sequence[int], table) -> list
 def _peel(codes: Sequence[int], table) -> tuple[list[list[int]], bool]:
     """One factorization of the zero-sum sequence codes into minimal blocks
     (ascending positions, in peel order), and whether it is the only one."""
-    add, neg, translate = table.add, table.neg, table.translate
+    neg, translate = table.neg, table.translate
     rest = list(range(len(codes)))  # positions not in a block yet
     supps = [1]  # supps[k]: subset sums of the codes at rest[:k]
     blocks: list[list[int]] = []
@@ -160,7 +160,7 @@ def _peel(codes: Sequence[int], table) -> tuple[list[list[int]], bool]:
         for k in range(i - 1, -1, -1):
             if not supps[k] >> t & 1:
                 picked.append(k)
-                t = add[t][neg[codes[rest[k]]]]
+                t = translate(1 << t, neg[codes[rest[k]]]).bit_length() - 1
         blocks.append([rest[k] for k in reversed(picked)])
         for k in picked:
             del rest[k]

@@ -404,15 +404,24 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
     return out
 
 
-# -- dense arithmetic tables for search kernels -----------------------------
+# -- arithmetic tables for search kernels --------------------------------------
+
+
+_IDENTITY = bytes(range(256))
 
 
 class GroupTable:
-    """Element codes 0..|G|-1 in canonical order with dense add/neg tables.
+    """Element codes 0..|G|-1 in canonical order, with per-element tables.
 
     Codes are mixed-radix: the residues of an element are its digits, the
     last coordinate varying fastest, so code order is the canonical element
-    order. The tables are built from the codes, one cyclic factor at a time.
+    order. The constructor builds ``elements`` and ``code`` (code <->
+    element), ``neg`` and ``order`` (one entry per code) and ``rotations``
+    (at most one step per coordinate of each code; the masks of the steps
+    are shared, one pair per coordinate and digit value), so a table holds
+    O(|G|·rank) entries and builds in that time. Nothing is added after the
+    constructor: ``row(g)``, the code of x + g for every code x, is built
+    afresh on each call from the digits of g.
 
     A subset of the group is an int bitmask over codes (bit c for element
     c). ``translate``, ``minkowski``, ``sumset`` and ``zero_sum_free`` on
@@ -422,15 +431,15 @@ class GroupTable:
     scans that need the subsets themselves.
 
     The group adds each digit on its own, with no carry between digits, so
-    a mask moves by g one nonzero digit at a time: adding digit d at stride
-    h with modulus m sends x to x + d*h, or to x - (m-d)*h when that digit
-    wraps. ``rotations[g]`` holds one (d*h, hi, (m-d)*h, lo) per nonzero
-    digit of g, where hi is the set of codes whose digit there is >= d and
-    lo the rest, and the step is ``(mask << d*h) & hi | (mask >> (m-d)*h) &
-    lo``. All of it is built in the constructor; nothing is built on use.
+    adding g moves codes one nonzero digit at a time: adding digit d at
+    stride h with modulus m sends x to x + d*h, or to x - (m-d)*h when that
+    digit wraps. ``rotations[g]`` holds one (d*h, hi, (m-d)*h, lo) per
+    nonzero digit of g, where hi is the set of codes whose digit there is
+    >= d and lo the rest, and a mask takes the step ``(mask << d*h) & hi |
+    (mask >> (m-d)*h) & lo``.
     """
 
-    __slots__ = ("group", "n", "elements", "code", "add", "neg", "order", "rotations")
+    __slots__ = ("group", "n", "elements", "code", "neg", "order", "rotations")
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
@@ -438,37 +447,28 @@ class GroupTable:
         self.n = len(self.elements)
         self.code: dict[Element, int] = {g: i for i, g in enumerate(self.elements)}
         # Tables of the trivial group, then C_m + H for each modulus m from
-        # the last: code r*h + c stands for (r, c) with c a code of H.
-        add: list[tuple[int, ...]] = [(0,)]
+        # the last: code r*h + c stands for (r, c) with c a code of H. The
+        # masks of a step span all n codes, so the steps of one digit value
+        # are shared by every element that has it.
+        n = self.n
         neg = [0]
         order = [1]
         rotations: list[tuple[tuple[int, int, int, int], ...]] = [()]
         h = 1
         for m in reversed(group.invariant_factors):
-            blocks = [[[r * h + x for x in row] for row in add] for r in range(m)]
-            add = []
-            for r in range(m):
-                for c in range(h):
-                    row: list[int] = []
-                    for q in range(r, r + m):
-                        row += blocks[q % m][c]
-                    add.append(tuple(row))
             neg = [(-r) % m * h + x for r in range(m) for x in neg]
             order = [lcm(m // gcd(m, r), o) for r in range(m) for o in order]
-            # A mask of H times spread is that mask at every digit r.
-            spread = sum(1 << r * h for r in range(m))
+            # A mask of one block of m*h codes times spread is that mask in
+            # every block.
+            spread = sum(1 << b for b in range(0, n, m * h))
             full = (1 << m * h) - 1
-            lifted = [
-                tuple((up, hi * spread, down, lo * spread) for up, hi, down, lo in rot)
-                for rot in rotations
-            ]
             digit = [()] + [
-                ((r * h, full >> r * h << r * h, (m - r) * h, (1 << r * h) - 1),)
+                ((r * h, (full >> r * h << r * h) * spread, (m - r) * h,
+                  ((1 << r * h) - 1) * spread),)
                 for r in range(1, m)
             ]
-            rotations = [digit[r] + rot for r in range(m) for rot in lifted]
+            rotations = [digit[r] + rot for r in range(m) for rot in rotations]
             h *= m
-        self.add = tuple(add)
         self.neg = tuple(neg)
         self.order = tuple(order)
         self.rotations = tuple(rotations)
@@ -478,6 +478,24 @@ class GroupTable:
 
     def decode(self, c: int) -> Element:
         return self.elements[c]
+
+    def row(self, g: int) -> bytes | list[int]:
+        """The code of x + g at index x, for every code x.
+
+        Built on each call, never stored. A nonzero digit of g rotates
+        each block of codes that share the digits above its coordinate, one
+        slice per block, so a row costs O(rank·|G|) bytes copied. The row
+        is bytes when |G| <= 256 (ready for ``bytes.translate``), else a
+        list.
+        """
+        n = self.n
+        small = n <= 256
+        row: bytes | list[int] = _IDENTITY[:n] if small else list(range(n))
+        for up, _, down, _ in self.rotations[g]:
+            size = up + down
+            parts = [row[b + up : b + size] + row[b : b + up] for b in range(0, n, size)]
+            row = b"".join(parts) if small else list(itertools.chain(*parts))
+        return row
 
     def translate(self, mask: int, g: int) -> int:
         """The set mask + g."""
@@ -519,21 +537,21 @@ class GroupTable:
 
         Entry m is the sum of codes[i] over the bits i set in m. The table
         doubles once per element: the sums of the masks with bit i set are
-        the sums so far translated by codes[i]. When |G| <= 256 the table
-        is a bytes object and each doubling one ``bytes.translate``; for
-        larger groups it is a list.
+        the sums so far moved through ``row(codes[i])``. When |G| <= 256 the
+        table is a bytes object and each doubling one ``bytes.translate``;
+        for larger groups it is a list.
         """
-        add = self.add
+        row = self.row
         if self.n <= 256:
             pad = bytes(256 - self.n)
             sums = b"\0"
             for g in codes:
-                sums += sums.translate(bytes(add[g]) + pad)
+                sums += sums.translate(row(g) + pad)
             return sums
         out = [0]
         for g in codes:
-            row = add[g]
-            out += [row[s] for s in out]
+            r = row(g)
+            out += [r[s] for s in out]
         return out
 
 

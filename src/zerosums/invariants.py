@@ -30,8 +30,8 @@ from .groups import (
     FiniteAbelianGroup,
     Homomorphism,
     abelian_groups_of_order,
-    factorize,
     group_table,
+    is_prime,
     kernel_structure,
     normalize_group,
     prime_stats,
@@ -167,21 +167,49 @@ def _cached(
     if record is None or record.get("incomplete"):
         return None
     # A record that does not decode, whose witness does not reproduce its
-    # value, or whose value is below the proven lower bound is a miss: the
-    # caller recomputes and rewrites it.
+    # value, whose value is below the proven lower bound, or whose k witness
+    # is not the least is a miss: the caller recomputes and rewrites it.
     try:
         result = from_record(group, record)
         valid = (
             result.invariant == invariant
             and result.value >= _LOWER_BOUNDS[invariant](group)
             and result.verify()
+            and (invariant != "k" or _locally_least_zero_sum_free(result.witness))
         )
-    except (KeyError, TypeError, ValueError, ZerosumsError):
+    except (
+        AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+        ZerosumsError,
+    ):
         return None
     if not valid:
         return None
     result.provenance = "cached"
     return result
+
+
+def _locally_least_zero_sum_free(witness: IndexedMultiset | None) -> bool:
+    """Whether no change of one element gives a smaller zero-sum-free
+    sequence of the same cross number.
+
+    A computed k witness is the canonically least maximizer, so it passes.
+    Changing one element of a zero-sum witness (D, N1, K, K1) breaks its
+    zero sum and fails ``verify()``; a zero-sum-free witness can survive
+    such a change, and this catches it: the computed witness is one change
+    away and smaller. Trading an element c for a smaller e of the same
+    order keeps the cross number and lowers the sorted sequence, and keeps
+    it zero-sum free exactly when -e is not a subset sum of the others.
+    """
+    if witness is None:
+        return True
+    table = group_table(witness.group)
+    codes = sorted(table.encode(el) for el in witness.elements())
+    order, neg = table.order, table.neg
+    for i, c in enumerate(codes):
+        supp = table.sumset(codes[:i] + codes[i + 1 :])
+        if any(order[e] == order[c] and not supp >> neg[e] & 1 for e in range(1, c)):
+            return False
+    return True
 
 
 def _store(result: InvariantResult, cache: ResultCache | None) -> None:
@@ -641,8 +669,16 @@ def verify_family(
 ) -> FamilyReport:
     """Check one theorem family on a parameter grid by exact computation.
 
-    ``workers`` is accepted and ignored, as in ``k1``.
+    The parameters p and q must be primes and m and n at least 1; anything
+    else raises DomainError before any search. ``workers`` is accepted and
+    ignored, as in ``k1``.
     """
+    for name in ("p", "q"):
+        if name in params and not is_prime(params[name]):
+            raise DomainError(f"{name} must be a prime, got {params[name]}")
+    for name in ("m", "n"):
+        if name in params and params[name] < 1:
+            raise DomainError(f"{name} must be at least 1, got {params[name]}")
     report = FamilyReport(theorem)
 
     def k1_value(g: FiniteAbelianGroup) -> tuple[Fraction, bool, InvariantResult]:
@@ -719,7 +755,7 @@ def verify_family(
         )
     elif theorem == "maximal-split-pq":
         p, q = params["p"], params["q"]
-        if p == q or not all(len(factorize(x)) == 1 for x in (p, q)):
+        if p == q:
             raise DomainError("needs two distinct primes")
         g = normalize_group([p * q])
         res = k1(g, cache=cache, budget=budget)

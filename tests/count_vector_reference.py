@@ -15,6 +15,8 @@ from zerosums.atoms import AtomCatalog
 from zerosums.groups import FiniteAbelianGroup, group_table
 from zerosums.search import Budget, SearchOutcome, SearchStats, _BudgetHit, _BudgetState
 
+from subset_scan_reference import tables
+
 
 def extend_counts(cnt: list[int], codes, add) -> list[int]:
     for c in codes:
@@ -35,7 +37,7 @@ def enumerate_atoms(
     if n == 1:
         return AtomCatalog(group, (), max_len, True)
     table = group_table(group)
-    add, neg = table.add, table.neg
+    add, neg, _ = tables(group)
     found: dict[int, list] = {}
     prefix: list[int] = []
 
@@ -73,7 +75,7 @@ def maximize_over_ufims(
     if n == 1 or catalog.count == 0:
         return SearchOutcome(floor_value, floor_witness_codes, stats)
     table = group_table(group)
-    add = table.add
+    add = tables(group)[0]
     entries = []
     for atom in catalog.atoms():
         codes = tuple(table.encode(el) for el in atom)

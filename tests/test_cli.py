@@ -119,6 +119,30 @@ def test_verify_command(capsys):
     assert run(capsys, "verify", "--theorem", "mainthm1", "--p", "2")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("maximal-split-pq", "--pq", "2,4"),
+        ("n1k1", "--p", "6", "--n", "1"),
+        ("n1k1", "--p", "2", "--n", "0"),
+        ("mainthm1", "--p", "4", "--m", "1", "--n", "1"),
+        ("mainthm2", "--p", "2", "--m", "1", "--q", "4", "--n", "1"),
+    ],
+    ids=" ".join,
+)
+def test_verify_rejects_non_prime_or_nonpositive_parameters(capsys, argv):
+    code, out, err = run(capsys, "verify", "--theorem", *argv)
+    assert code == 2
+    assert out == "" and "must be" in err
+
+
+@pytest.mark.parametrize("orders", ["x", "5..3", "2..", "..4", "3..x"])
+def test_verify_rejects_malformed_order_range(capsys, orders):
+    code, out, err = run(capsys, "verify", "--theorem", "gaowang", "--orders", orders)
+    assert code == 2
+    assert out == "" and "--orders" in err
+
+
 def test_verify_failure_exit_code(capsys):
     # A budget-starved search cannot certify the family, which must surface
     # as a verification failure, not a silent pass.

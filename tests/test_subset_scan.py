@@ -35,6 +35,8 @@ GROUPS_TO_16 = abelian_groups_up_to(16)
 BIG = normalize_group([2, 150])
 # Exactly 256 elements: the largest group on the bytes branch.
 C4_C64 = normalize_group([4, 64])
+# Rank 10: rows of many short blocks, on the list branch.
+C2_10 = normalize_group([2] * 10)
 
 
 def key(group):
@@ -104,12 +106,24 @@ def check_factorizations(ms):
 @pytest.mark.parametrize("group", [trivial_group()] + abelian_groups_up_to(64), ids=key)
 def test_tables_match_pairwise_construction(group):
     table = GroupTable(group)
-    assert (table.add, table.neg, table.order) == reference.tables(group)
-    add = table.add
+    add, neg, order = reference.tables(group)
+    assert (table.neg, table.order) == (neg, order)
     # translate distributes over union, so single bits decide every mask.
     for x in range(table.n):
         for g in range(table.n):
             assert table.translate(1 << x, g) == 1 << add[x][g]
+
+
+@pytest.mark.parametrize(
+    "group", [trivial_group()] + abelian_groups_up_to(64) + [BIG, C2_10], ids=key
+)
+def test_row_is_the_reference_column(group):
+    table = GroupTable(group)
+    add = reference.tables(group)[0]
+    for g in range(table.n):
+        row = table.row(g)
+        assert isinstance(row, bytes if table.n <= 256 else list)
+        assert list(row) == [add[x][g] for x in range(table.n)]
 
 
 @given(st.data())
@@ -131,6 +145,13 @@ def test_subset_sums_match_reference(data):
     sums = table.subset_sums(codes)
     assert isinstance(sums, bytes if table.n <= 256 else list)
     assert list(sums) == reference.subset_sums(codes, reference.tables(group)[0])
+
+
+@given(st.lists(st.integers(0, C2_10.order - 1), max_size=9))
+def test_subset_sums_match_reference_on_c2_10(codes):
+    sums = group_table(C2_10).subset_sums(codes)
+    assert isinstance(sums, list)
+    assert sums == reference.subset_sums(codes, reference.tables(C2_10)[0])
 
 
 # -- predicates on every group of order <= 16 -------------------------------

@@ -16,6 +16,8 @@ from zerosums import config
 from zerosums.errors import ResourceLimitError
 from zerosums.groups import group_table
 
+from subset_scan_reference import tables
+
 
 def distinct_counts(ms) -> tuple[list[int], list[int], object]:
     """Distinct element codes (ascending) with multiplicities."""
@@ -32,7 +34,7 @@ def zero_sum_vectors(
     values: Sequence[int], counts: Sequence[int], table
 ) -> list[tuple[int, ...]]:
     """All multiplicity vectors x (0 <= x_i <= c_i) whose weighted sum is 0."""
-    add = table.add
+    add = tables(table.group)[0]
     d = len(values)
     out: list[tuple[int, ...]] = []
     budget = [config.VECTOR_CAP]
