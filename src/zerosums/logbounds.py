@@ -3,21 +3,33 @@
 Bound expressions are a rational part plus rational multiples of log2(q) and
 ln(q) for positive rational q. Powers of two fold into the rational part, so
 exact comparisons stay exact; everything else is certified by interval
-arithmetic with escalating precision. A comparison never returns an
-uncertified verdict. mpmath is imported by the methods that do interval
-arithmetic, so building and adding bounds, and exact comparisons, never
-load it.
+arithmetic with escalating precision (64 to 16384 bits). A comparison never
+returns an uncertified verdict.
+
+An enclosure is an outward (lo, hi) pair of raw mpf values made with
+mpmath's low-level kernel, ``mpmath.libmp``: each rational is rounded down
+and up, and logarithms, products and sums round outward. No mpmath context
+is used, so no global precision is read or set. Each bound memoizes its
+enclosures per precision, so comparing it with several rationals and then
+rounding it up builds each enclosure once; the memo takes no part in
+``==``, ``hash`` or ``repr``. mpmath is imported on first interval use, so
+building and adding bounds, and exact comparisons, never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import CertificationError, DomainError
 
+_START_PREC = 64
 _MAX_PREC = 16384
+# upper_rational reads the 128-bit enclosure and scales it by 10**digits,
+# itself rounded outward, at 53 bits; finer scaling changes its digits.
+_UPPER_PREC = 128
+_SCALE_PREC = 53
 
 Terms = tuple[tuple[Fraction, Fraction], ...]  # (coefficient, argument)
 
@@ -42,11 +54,56 @@ def _normalize_merge(terms: Iterable[tuple[Fraction, Fraction]]) -> Terms:
     return tuple(sorted(((c, a) for a, c in acc.items() if c), key=lambda t: t[1]))
 
 
+def _rational(q: Fraction, prec: int) -> tuple:
+    """Outward enclosure of a rational at ``prec`` bits; integers are exact."""
+    import mpmath.libmp as libmp
+
+    p, d = q.numerator, q.denominator
+    if d == 1:
+        x = libmp.from_int(p)
+        return x, x
+    return (
+        libmp.from_rational(p, d, prec, libmp.round_floor),
+        libmp.from_rational(p, d, prec, libmp.round_ceiling),
+    )
+
+
+def _log_sum(terms: Terms, prec: int) -> tuple:
+    """Outward enclosure of the sum of coeff * ln(arg)."""
+    import mpmath.libmp as libmp
+
+    acc = (libmp.fzero, libmp.fzero)
+    for coeff, arg in terms:
+        log = libmp.mpi_log(_rational(arg, prec), prec)
+        acc = libmp.mpi_add(acc, libmp.mpi_mul(_rational(coeff, prec), log, prec), prec)
+    return acc
+
+
+def _enclose(bound: "LogBound", prec: int) -> tuple:
+    """Outward (lo, hi) enclosure of a bound's value at ``prec`` bits."""
+    import mpmath.libmp as libmp
+
+    acc = _rational(bound.exact, prec)
+    if bound.log2_terms:
+        ln2 = (
+            libmp.mpf_ln2(prec, libmp.round_floor),
+            libmp.mpf_ln2(prec, libmp.round_ceiling),
+        )
+        logs = libmp.mpi_div(_log_sum(bound.log2_terms, prec), ln2, prec)
+        acc = libmp.mpi_add(acc, logs, prec)
+    if bound.ln_terms:
+        acc = libmp.mpi_add(acc, _log_sum(bound.ln_terms, prec), prec)
+    return acc
+
+
 @dataclass(frozen=True)
 class LogBound:
     exact: Fraction = Fraction(0)
     log2_terms: Terms = ()
     ln_terms: Terms = ()
+    _enclosures: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @staticmethod
     def of(value: Fraction | int) -> "LogBound":
@@ -58,6 +115,8 @@ class LogBound:
         coeff = Fraction(coeff)
         if arg <= 0:
             raise DomainError(f"log2 needs a positive argument, got {arg}")
+        if coeff == 0:
+            return LogBound(Fraction(0))
         t = _pow2_exponent(arg)
         if t is not None:
             return LogBound(coeff * t)
@@ -110,46 +169,43 @@ class LogBound:
 
     # -- certified comparisons ------------------------------------------
 
-    def _interval(self, prec: int):
-        from mpmath import iv
+    def _interval(self, prec: int) -> tuple:
+        """Outward (lo, hi) enclosure at ``prec`` bits, built once per precision."""
+        box = self._enclosures.get(prec)
+        if box is None:
+            box = self._enclosures[prec] = _enclose(self, prec)
+        return box
 
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            def q(x: Fraction):
-                return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-            acc = q(self.exact)
-            if self.log2_terms:
-                ln2 = iv.log(iv.mpf(2))
-                for coeff, arg in self.log2_terms:
-                    acc += q(coeff) * iv.log(q(arg)) / ln2
-            for coeff, arg in self.ln_terms:
-                acc += q(coeff) * iv.log(q(arg))
-            return acc
-        finally:
-            iv.prec = saved
+    def _certify(self, q: Fraction) -> int:
+        """Certified sign of self - q for non-exact self, without building it."""
+        from mpmath.libmp import mpf_cmp
+
+        prec = _START_PREC
+        while prec <= _MAX_PREC:
+            lo, hi = self._interval(prec)
+            q_lo, q_hi = _rational(q, prec)
+            if mpf_cmp(lo, q_hi) > 0:
+                return 1
+            if mpf_cmp(hi, q_lo) < 0:
+                return -1
+            prec *= 2
+        raise CertificationError(f"cannot certify the sign of {self - q!r}")
 
     def sign(self) -> int:
         """Certified sign; zero only for symbolically exact zero."""
         if self.is_exact:
             return (self.exact > 0) - (self.exact < 0)
-        from mpmath.libmp import fzero, mpf_cmp
-
-        prec = 64
-        while prec <= _MAX_PREC:
-            box = self._interval(prec)
-            lo, hi = box._mpi_
-            if mpf_cmp(lo, fzero) > 0:
-                return 1
-            if mpf_cmp(hi, fzero) < 0:
-                return -1
-            prec *= 2
-        raise CertificationError(f"cannot certify the sign of {self!r}")
+        return self._certify(Fraction(0))
 
     def compare(self, other: "LogBound | Fraction | int") -> int:
-        if not isinstance(other, LogBound):
-            other = LogBound.of(other)
-        return (self - other).sign()
+        if isinstance(other, LogBound):
+            if not other.is_exact:
+                return (self - other).sign()
+            other = other.exact
+        q = Fraction(other)
+        if self.is_exact:
+            return (self.exact > q) - (self.exact < q)
+        return self._certify(q)
 
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
@@ -167,15 +223,15 @@ class LogBound:
         """A certified rational upper bound, rounded outward to 10^-digits."""
         if self.is_exact:
             return self.exact
-        import mpmath
-        from mpmath import iv
+        from mpmath.libmp import from_int, mpi_mul, round_ceiling, round_floor, to_int
 
-        box = self._interval(128)
         scale = 10**digits
-        scaled = box * iv.mpf(scale)
-        hi = mpmath.mpf(0)
-        hi._mpf_ = scaled._mpi_[1]
-        return Fraction(int(mpmath.ceil(hi)), scale)
+        scale_box = (
+            from_int(scale, _SCALE_PREC, round_floor),
+            from_int(scale, _SCALE_PREC, round_ceiling),
+        )
+        _, hi = mpi_mul(self._interval(_UPPER_PREC), scale_box, _SCALE_PREC)
+        return Fraction(to_int(hi, round_ceiling), scale)
 
     def __repr__(self) -> str:
         parts = [str(self.exact)]

@@ -42,6 +42,11 @@ code, out = run("invariant", "-g", "4", "-i", "K1", "--format", "json",
                 "--cache-dir", sys.argv[1])
 steps["cached"] = [code, json.loads(out)["provenance"], loaded()]
 
+from zerosums.logbounds import LogBound
+steps["exact_compare"] = [
+    LogBound.log2(4) < 3, LogBound.of(1) >= Fraction(1, 2), loaded()
+]
+
 code, out = run("invariant", "-g", "6", "-i", "bound:gaowang-log", "--format", "json")
 steps["bound"] = [code, json.loads(out)["value"], "mpmath" in sys.modules]
 
@@ -74,6 +79,7 @@ def test_cli_loads_lazy_modules_only_on_first_use(tmp_path):
     assert steps["import"] == []
     assert steps["catalog"] == [0, []]
     assert steps["cached"] == [0, "cached", []]
+    assert steps["exact_compare"] == [True, True, []]
     # ln 6 + log2(6) / 2 = 3.0842..., rounded up to six digits.
     assert steps["bound"] == [0, "3084241/1000000", True]
     assert steps["serial_search"] is False
