@@ -1,13 +1,19 @@
 """Catalogs of atoms (minimal zero-sum multisets) and zero-sum-free maxima.
 
-Atoms are enumerated depth-first over nondecreasing element sequences. A
-prefix is kept only while zero-sum-free. Its subset sums are tracked as a
-support bitmask over element codes (``GroupTable.translate``): appending e
-keeps the prefix zero-sum-free exactly when -e is not a subset sum, and the
-new support is supp | (supp + e). Appending the negation of the running sum
-closes an atom. Generation in canonical order makes deduplication free.
-Cross numbers are summed as integers scaled by exp(G) (``cross_weights``)
-and become a Fraction once, for the result.
+Atoms are enumerated depth-first over nondecreasing sequences of element
+codes (``GroupTable``). A prefix is kept only while zero-sum-free. Its subset
+sums are tracked as a support bitmask over codes (``GroupTable.translate``):
+appending e keeps the prefix zero-sum-free exactly when -e is not a subset
+sum, and the new support is supp | (supp + e). Appending the negation of the
+running sum closes an atom. Generation in canonical order makes
+deduplication free.
+
+A catalog holds each atom as its ascending codes and, from the support at
+its emission, the mask of its proper nonempty subset sums: the crossing mask
+the unique-factorization search (``search``) tests against. Elements are
+decoded only for ``AtomCatalog.atoms()`` and for witnesses. Cross numbers are
+summed as integers scaled by exp(G) (``scaled_crosses``) and become a
+Fraction once, for the result.
 
 Catalogs live in memory only, one per group for the life of the process
 (``atom_catalog``). They are never written to disk: a catalog read back
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import config
 from .errors import (
@@ -33,32 +39,32 @@ from .multisets import IndexedMultiset
 
 @dataclass(frozen=True)
 class AtomCatalog:
-    """All atoms of a group up to a length bound, in canonical order."""
+    """All atoms of a group up to a length bound, in canonical order.
+
+    ``codes`` holds each atom as its ascending element codes, in (length,
+    codes) order; ``sums`` holds, per atom, the mask of its proper nonempty
+    subset sums.
+    """
 
     group: FiniteAbelianGroup
-    atoms_by_length: tuple[tuple[int, tuple[tuple[Element, ...], ...]], ...]
+    codes: tuple[tuple[int, ...], ...]
+    sums: tuple[int, ...]
     max_length_enumerated: int
     complete: bool
 
     @property
     def count(self) -> int:
-        return sum(len(atoms) for _, atoms in self.atoms_by_length)
+        return len(self.codes)
 
     @property
     def max_atom_length(self) -> int:
-        lengths = [l for l, atoms in self.atoms_by_length if atoms]
-        return max(lengths, default=0)
+        return len(self.codes[-1]) if self.codes else 0
 
     def atoms(self) -> Iterator[tuple[Element, ...]]:
-        """Atoms ordered by (length, elements)."""
-        for _, atoms in self.atoms_by_length:
-            yield from atoms
-
-    def by_length(self, length: int) -> tuple[tuple[Element, ...], ...]:
-        for l, atoms in self.atoms_by_length:
-            if l == length:
-                return atoms
-        return ()
+        """Atoms as elements, ordered by (length, elements)."""
+        elements = group_table(self.group).elements
+        for atom in self.codes:
+            yield tuple([elements[c] for c in atom])
 
 
 def enumerate_atoms(
@@ -81,36 +87,31 @@ def enumerate_atoms(
         raise ResourceLimitError(
             f"group order {n} exceeds atom catalog cap {config.ATOM_ORDER_CAP}"
         )
-    found: dict[int, list[tuple[Element, ...]]] = {}
     if n == 1:
-        return AtomCatalog(group, (), max_len, True)
+        return AtomCatalog(group, (), (), max_len, True)
 
     table = group_table(group)
     # add[x][e] = x + e. n <= ATOM_ORDER_CAP, so n rows of n codes; tuples,
     # since the search indexes them faster than bytes.
     add = [tuple(table.row(x)) for x in range(n)]
     neg = table.neg
-    elements = table.elements
     translate = table.translate
-    total = 0
+    # (codes, sums) per atom, in lexicographic order of codes.
+    found: list[tuple[tuple[int, ...], int]] = []
     prefix: list[int] = []
 
-    def emit(codes: list[int]) -> None:
-        nonlocal total
-        total += 1
-        if total > cap:
-            raise ResourceLimitError(f"atom catalog exceeds {cap} entries")
-        atom = tuple([elements[c] for c in codes])
-        found.setdefault(len(atom), []).append(atom)
-
-    # supp = subset sums of the current prefix, as a mask over codes.
+    # supp = subset sums of the current prefix, as a mask over codes. An
+    # atom's subset sums are supp | (supp + e); the empty and the full one
+    # are the only ones at 0, as the atom is minimal.
     def dfs(start: int, running: int, supp: int) -> None:
         depth = len(prefix)
         want = neg[running]
         extend = depth + 1 <= max_len - 1
         for e in range(start, n):
             if e == want and want != 0 and depth + 1 >= 2:
-                emit(prefix + [e])
+                if len(found) >= cap:
+                    raise ResourceLimitError(f"atom catalog exceeds {cap} entries")
+                found.append((tuple(prefix + [e]), (supp | translate(supp, e)) & ~1))
             if extend and not (supp >> neg[e]) & 1:
                 prefix.append(e)
                 dfs(e, add[running][e], supp | translate(supp, e))
@@ -123,11 +124,13 @@ def enumerate_atoms(
         # cycle, and the group table it holds, without waiting for the GC.
         del dfs
 
-    atoms_by_length = tuple(
-        (l, tuple(sorted(found[l]))) for l in sorted(found)
-    )
-    complete = max_len >= n or not found.get(max_len)
-    return AtomCatalog(group, atoms_by_length, max_len, complete)
+    # A prefix is emitted before its extensions, so found is in lexicographic
+    # order; a stable sort by length gives (length, codes) order. found is
+    # not empty: n > 1 and max_len >= 2, so some (g, -g) is an atom.
+    found.sort(key=lambda atom: len(atom[0]))
+    codes, sums = zip(*found)
+    complete = max_len >= n or len(codes[-1]) < max_len
+    return AtomCatalog(group, codes, sums, max_len, complete)
 
 
 # -- in-memory reuse ----------------------------------------------------------
@@ -168,30 +171,44 @@ def max_zero_sum_free_cross(
         )
     weight = cross_weights(group)
     best = 0
-    best_witness: tuple[Element, ...] = ()
-    for atom in catalog.atoms():
-        unit = [weight[el] for el in atom]
-        total = sum(unit)
-        seen: set[Element] = set()
-        for i, el in enumerate(atom):
-            if el in seen:
+    best_witness: tuple[int, ...] = ()
+    for atom, total in zip(catalog.codes, scaled_crosses(catalog)):
+        last = 0  # codes are ascending and nonzero: skip repeated ones
+        for i, c in enumerate(atom):
+            if c == last:
                 continue
-            seen.add(el)
-            value = total - unit[i]
+            last = c
+            value = total - weight[c]
             if value < best:
                 continue
             witness = atom[:i] + atom[i + 1 :]
             if value > best or witness < best_witness:
                 best = value
                 best_witness = witness
-    ms = IndexedMultiset.from_elements(
-        group, best_witness, max_size=len(best_witness)
-    )
+    ms = _witness_from_codes(group, best_witness)
+    if ms is None:  # no atoms: the empty multiset
+        ms = IndexedMultiset(group, ())
     return Fraction(best, group.exponent), ms
 
 
-def cross_weights(group: FiniteAbelianGroup) -> dict[Element, int]:
-    """exp(G) // ord(g) per element: cross numbers scaled to integers."""
-    table = group_table(group)
+def cross_weights(group: FiniteAbelianGroup) -> list[int]:
+    """exp(G) // ord(g) per element code: cross numbers scaled to integers."""
     exp = group.exponent
-    return {el: exp // o for el, o in zip(table.elements, table.order)}
+    return [exp // o for o in group_table(group).order]
+
+
+def scaled_crosses(catalog: AtomCatalog) -> list[int]:
+    """Each atom's cross number scaled by exp(G), in catalog order."""
+    weight = cross_weights(catalog.group)
+    return [sum([weight[c] for c in atom]) for atom in catalog.codes]
+
+
+def _witness_from_codes(
+    group: FiniteAbelianGroup, codes: Iterable[int]
+) -> IndexedMultiset | None:
+    """The multiset of the decoded codes, or None when there are none."""
+    codes = tuple(codes)
+    if not codes:
+        return None
+    elements = [group_table(group).decode(c) for c in codes]
+    return IndexedMultiset.from_elements(group, elements, max_size=len(elements))

@@ -8,13 +8,14 @@ exact rationals with certified interval comparisons for logarithm terms.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import config, constructions
-from .atoms import AtomCatalog, atom_catalog, cross_weights
+from .atoms import _witness_from_codes, atom_catalog, scaled_crosses
 from .cache import ResultCache
 from .errors import (
     ConstraintInapplicableError,
@@ -26,7 +27,6 @@ from .errors import (
 from .factorization import is_ufim, unique_factorization
 from .formulas import K_star, d_star, k1_star, k_star, n1_star
 from .groups import (
-    Element,
     FiniteAbelianGroup,
     Homomorphism,
     abelian_groups_of_order,
@@ -217,26 +217,6 @@ def _store(result: InvariantResult, cache: ResultCache | None) -> None:
         cache.put_record(to_record(result))
 
 
-def _catalog_for(group: FiniteAbelianGroup) -> AtomCatalog:
-    if group.order > config.ATOM_ORDER_CAP:
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds the atom-based cap "
-            f"{config.ATOM_ORDER_CAP}"
-        )
-    return atom_catalog(group)
-
-
-def _witness_from_codes(
-    group: FiniteAbelianGroup, codes: Iterable[int]
-) -> IndexedMultiset | None:
-    codes = tuple(codes)
-    if not codes:
-        return None
-    table = group_table(group)
-    elements = [table.decode(c) for c in codes]
-    return IndexedMultiset.from_elements(group, elements, max_size=len(elements))
-
-
 # -- atom-catalog invariants --------------------------------------------------
 
 
@@ -247,19 +227,19 @@ def davenport(
     got = _cached(group, "D", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group)
+    catalog = atom_catalog(group)
     stats = SearchStats(nodes=catalog.count)
-    if catalog.count == 0:
-        result = InvariantResult(group, "D", Fraction(0), None, stats, "computed")
-    else:
-        length = catalog.max_atom_length
-        witness_els = catalog.by_length(length)[0]
-        witness = IndexedMultiset.from_elements(
-            group, witness_els, max_size=length
-        )
-        result = InvariantResult(
-            group, "D", Fraction(length), witness, stats, "computed"
-        )
+    codes = catalog.codes
+    length = catalog.max_atom_length
+    witness = codes[bisect_left(codes, length, key=len)] if codes else ()
+    result = InvariantResult(
+        group,
+        "D",
+        Fraction(length),
+        _witness_from_codes(group, witness),
+        stats,
+        "computed",
+    )
     _store(result, cache)
     return result
 
@@ -271,23 +251,20 @@ def big_cross_K(
     got = _cached(group, "K", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group)
+    catalog = atom_catalog(group)
     stats = SearchStats(nodes=catalog.count)
-    weight = cross_weights(group)
-    best = 0
-    best_atom: tuple[Element, ...] | None = None
-    for atom in catalog.atoms():
-        value = sum(weight[el] for el in atom)
-        if best_atom is None or value > best or (value == best and atom < best_atom):
-            best = value
-            best_atom = atom
-    witness = (
-        IndexedMultiset.from_elements(group, best_atom, max_size=len(best_atom))
-        if best_atom is not None
-        else None
+    crosses = scaled_crosses(catalog)
+    best = max(crosses, default=0)
+    best_atom = min(
+        (atom for atom, v in zip(catalog.codes, crosses) if v == best), default=()
     )
     result = InvariantResult(
-        group, "K", Fraction(best, group.exponent), witness, stats, "computed"
+        group,
+        "K",
+        Fraction(best, group.exponent),
+        _witness_from_codes(group, best_atom),
+        stats,
+        "computed",
     )
     _store(result, cache)
     return result
@@ -302,7 +279,7 @@ def little_cross_k(
     got = _cached(group, "k", cache)
     if got is not None:
         return got
-    catalog = _catalog_for(group)
+    catalog = atom_catalog(group)
     stats = SearchStats(nodes=catalog.count)
     value, witness = max_zero_sum_free_cross(group, catalog)
     result = InvariantResult(
@@ -345,7 +322,7 @@ def _search_invariant(
         if table is not None
         else ()
     )
-    catalog = _catalog_for(group)
+    catalog = atom_catalog(group)
     outcome = maximize_over_ufims(
         group, catalog, kind, floor_value, floor_codes, budget=budget
     )

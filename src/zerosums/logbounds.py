@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import CertificationError, DomainError
@@ -35,9 +36,7 @@ Terms = tuple[tuple[Fraction, Fraction], ...]  # (coefficient, argument)
 
 
 def _pow2_exponent(q: Fraction) -> int | None:
-    """t with q == 2**t, or None."""
-    if q <= 0:
-        return None
+    """t with q == 2**t, or None; q > 0."""
     num, den = q.numerator, q.denominator
     if num == 1 and den & (den - 1) == 0:
         return -(den.bit_length() - 1)
@@ -46,12 +45,17 @@ def _pow2_exponent(q: Fraction) -> int | None:
     return None
 
 
-def _normalize_merge(terms: Iterable[tuple[Fraction, Fraction]]) -> Terms:
-    acc: dict[Fraction, Fraction] = {}
-    for coeff, arg in terms:
+def _normalize_merge(terms: Iterable[tuple[Fraction, Fraction]], log: str) -> Terms:
+    """Terms merged per argument, zero coefficients dropped, by argument."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for coeff, arg in sorted(terms, key=itemgetter(1)):
+        if arg.numerator <= 0:  # a rational's sign is its numerator's
+            raise DomainError(f"{log} needs a positive argument, got {arg}")
+        if out and out[-1][1] == arg:
+            coeff += out.pop()[0]
         if coeff:
-            acc[arg] = acc.get(arg, Fraction(0)) + coeff
-    return tuple(sorted(((c, a) for a, c in acc.items() if c), key=lambda t: t[1]))
+            out.append((coeff, arg))
+    return tuple(out)
 
 
 def _rational(q: Fraction, prec: int) -> tuple:
@@ -105,32 +109,42 @@ class LogBound:
         default_factory=dict, init=False, compare=False, repr=False
     )
 
+    def __post_init__(self) -> None:
+        """Bring the terms to normal form: one term per argument, no zero
+        coefficient, powers of two in log2 and 1 in ln folded into ``exact``.
+        So a bound whose log terms vanish is exact and equals ``LogBound.of``
+        of its value, however it was built. A non-positive argument raises
+        DomainError."""
+        if self.log2_terms == () == self.ln_terms:
+            return  # no terms (a list, even empty, is turned into a tuple)
+        exact = self.exact
+        log2_terms = []
+        for coeff, arg in _normalize_merge(self.log2_terms, "log2"):
+            t = _pow2_exponent(arg)
+            if t is None:
+                log2_terms.append((coeff, arg))
+            else:
+                exact += coeff * t
+        ln_terms = tuple(
+            (coeff, arg)
+            for coeff, arg in _normalize_merge(self.ln_terms, "ln")
+            if arg != 1
+        )
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "log2_terms", tuple(log2_terms))
+        object.__setattr__(self, "ln_terms", ln_terms)
+
     @staticmethod
     def of(value: Fraction | int) -> "LogBound":
         return LogBound(Fraction(value))
 
     @staticmethod
     def log2(arg: Fraction | int, coeff: Fraction | int = 1) -> "LogBound":
-        arg = Fraction(arg)
-        coeff = Fraction(coeff)
-        if arg <= 0:
-            raise DomainError(f"log2 needs a positive argument, got {arg}")
-        if coeff == 0:
-            return LogBound(Fraction(0))
-        t = _pow2_exponent(arg)
-        if t is not None:
-            return LogBound(coeff * t)
-        return LogBound(Fraction(0), ((coeff, arg),))
+        return LogBound(Fraction(0), ((Fraction(coeff), Fraction(arg)),))
 
     @staticmethod
     def ln(arg: Fraction | int, coeff: Fraction | int = 1) -> "LogBound":
-        arg = Fraction(arg)
-        coeff = Fraction(coeff)
-        if arg <= 0:
-            raise DomainError(f"ln needs a positive argument, got {arg}")
-        if arg == 1 or coeff == 0:
-            return LogBound(Fraction(0))
-        return LogBound(Fraction(0), (), ((coeff, arg),))
+        return LogBound(Fraction(0), (), ((Fraction(coeff), Fraction(arg)),))
 
     @property
     def is_exact(self) -> bool:
@@ -141,8 +155,8 @@ class LogBound:
             other = LogBound.of(other)
         return LogBound(
             self.exact + other.exact,
-            _normalize_merge(self.log2_terms + other.log2_terms),
-            _normalize_merge(self.ln_terms + other.ln_terms),
+            self.log2_terms + other.log2_terms,
+            self.ln_terms + other.ln_terms,
         )
 
     __radd__ = __add__
@@ -163,8 +177,8 @@ class LogBound:
         factor = Fraction(factor)
         return LogBound(
             self.exact * factor,
-            _normalize_merge((c * factor, a) for c, a in self.log2_terms),
-            _normalize_merge((c * factor, a) for c, a in self.ln_terms),
+            tuple((c * factor, a) for c, a in self.log2_terms),
+            tuple((c * factor, a) for c, a in self.ln_terms),
         )
 
     # -- certified comparisons ------------------------------------------

@@ -1,18 +1,20 @@
 """Branch-and-bound maximization over unions of atoms with unique factorization.
 
-Candidates are nondecreasing sequences of catalog atoms. The search keeps the
-support of a union S, the set of its subset sums, as an int bitmask over
-element codes (``GroupTable.minkowski``). When S has unique factorization,
-its zero-sum subsets are the unions of its blocks. Adding an atom A keeps
-that property unless some T in S and proper nonempty U in A have
-sum(T) = -sum(U). The proper nonempty subset sums P of A satisfy P = -P
-(complements sum to minus each other, as A sums to zero) and 0 is not in P
-(A is minimal). So A crosses a block boundary exactly when supp(S) meets P:
-one AND against a mask precomputed per atom. The support itself is updated
-only on accepted nodes. Pruning uses the product bound (block sizes multiply
-to at most |G|), the block-count bound, and an optimistic value bound
-against the incumbent. Measures are integers, cross numbers scaled by
-exp(G); the value becomes a Fraction once, in the outcome.
+Candidates are nondecreasing sequences of catalog atoms, in catalog order.
+The search keeps the support of a union S, the set of its subset sums, as an
+int bitmask over element codes (``GroupTable.minkowski``). When S has unique
+factorization, its zero-sum subsets are the unions of its blocks. Adding an
+atom A keeps that property unless some T in S and proper nonempty U in A
+have sum(T) = -sum(U). The proper nonempty subset sums P of A satisfy
+P = -P (complements sum to minus each other, as A sums to zero) and 0 is not
+in P (A is minimal). So A crosses a block boundary exactly when supp(S)
+meets P: one AND against the atom's mask in ``AtomCatalog.sums``, which the
+enumeration records, so the search keeps no per-atom tables or memo of its
+own. The support itself is updated only on accepted nodes. Pruning uses the
+product bound (block sizes multiply to at most |G|), the block-count bound,
+and an optimistic value bound against the incumbent. Measures are integers,
+cross numbers scaled by exp(G) (``atoms.scaled_crosses``); the value becomes
+a Fraction once, in the outcome.
 
 The root branches (choices of first atom) run one after another, in order,
 on one thread. Each starts from its own incumbent seeded from the caller's
@@ -28,11 +30,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Literal
 
-from .atoms import AtomCatalog
+from .atoms import AtomCatalog, scaled_crosses
 from .errors import DomainError
-from .groups import FiniteAbelianGroup, GroupTable, group_table
+from .groups import FiniteAbelianGroup, group_table
 
 
 @dataclass
@@ -57,34 +59,6 @@ class SearchOutcome:
 
 class _BudgetHit(Exception):
     pass
-
-
-# Per atom: length, codes, and the mask of its proper nonempty subset sums.
-Rows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
-
-# Rows of the last (table, catalog) searched. N1 and K1 of one group share
-# them; the identity checks keep a rebuilt table or catalog from reusing
-# stale rows, and the next group replaces them.
-_ROWS: tuple[GroupTable, AtomCatalog, Rows] | None = None
-
-
-def _rows(table: GroupTable, catalog: AtomCatalog) -> Rows:
-    """Per atom in (length, codes) order: length, codes, and the mask of its
-    proper nonempty subset sums. The catalog must not be empty."""
-    global _ROWS
-    memo = _ROWS
-    if memo is not None and memo[0] is table and memo[1] is catalog:
-        return memo[2]
-    code = table.code
-    sumset = table.sumset
-    rows = []
-    for atom in catalog.atoms():
-        codes = tuple([code[el] for el in atom])
-        rows.append((len(atom), codes, sumset(codes) & ~1))
-    rows.sort()  # (length, codes) is unique per atom
-    lengths, codes, crossers = zip(*rows)
-    _ROWS = (table, catalog, (lengths, codes, crossers))
-    return lengths, codes, crossers
 
 
 class _BudgetState:
@@ -129,13 +103,10 @@ def maximize_over_ufims(
             f"floor value {floor_value} is not a multiple of 1/{scale}"
         )
     floor = scaled_floor.numerator
-    lengths, codes, crossers = _rows(table, catalog)
-    if kind == "size":
-        measures = lengths
-    else:  # cross numbers scaled by exp(G)
-        weight = [scale // o for o in table.order]
-        measures = [sum([weight[c] for c in block]) for block in codes]
-    count = len(lengths)
+    codes, crossers = catalog.codes, catalog.sums
+    lengths = [len(block) for block in codes]
+    measures = lengths if kind == "size" else scaled_crosses(catalog)
+    count = len(codes)
     minkowski = table.minkowski
     m_cap = n.bit_length() - 1
     suffix_max = [0] * (count + 1)
@@ -204,38 +175,3 @@ def maximize_over_ufims(
     prunes = {"crossing": crossing, "product": product, "bound": bound}
     stats.prunes.update({k: v for k, v in prunes.items() if v})
     return SearchOutcome(Fraction(best_value, scale), best_witness, stats)
-
-
-def iter_ufims(
-    group: FiniteAbelianGroup,
-    catalog: AtomCatalog,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All unique-factorization unions of atoms, as tuples of code blocks.
-
-    Visits every UFIM over the group whose blocks are in the catalog; the
-    product and block-count caps are valid for all UFIMs, so with a complete
-    catalog this is every UFIM. The empty union is not yielded.
-    """
-    n = group.order
-    if n == 1 or catalog.count == 0:
-        return
-    table = group_table(group)
-    lengths, codes, crossers = _rows(table, catalog)
-    m_cap = n.bit_length() - 1
-
-    blocks: list[tuple[int, ...]] = []
-
-    def dfs(min_idx: int, m: int, prod: int, supp: int):
-        for j in range(min_idx, len(lengths)):
-            new_prod = prod * lengths[j]
-            if new_prod > n:
-                break
-            if supp & crossers[j]:
-                continue
-            blocks.append(codes[j])
-            yield tuple(blocks)
-            if m + 1 < m_cap:
-                yield from dfs(j, m + 1, new_prod, table.minkowski(supp, codes[j]))
-            blocks.pop()
-
-    yield from dfs(0, 0, 1, 1)

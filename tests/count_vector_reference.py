@@ -4,12 +4,15 @@ Direct forms of the atom enumeration and the unique-factorization
 branch-and-bound: they carry the full vector of subset-sum counts per node
 and use Fraction measures, where the library keeps only the support of the
 subset sums and integer measures. The tests require both to agree on
-catalogs, values, witnesses, node counts and prune counts.
+catalogs (crossing masks included), values, witnesses, node counts and
+prune counts. ``iter_ufims`` lists every unique-factorization union of
+catalog atoms the same way, for tests that check a property on all of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from zerosums.atoms import AtomCatalog
 from zerosums.groups import FiniteAbelianGroup, group_table
@@ -35,10 +38,9 @@ def enumerate_atoms(
     if max_len is None:
         max_len = n
     if n == 1:
-        return AtomCatalog(group, (), max_len, True)
-    table = group_table(group)
+        return AtomCatalog(group, (), (), max_len, True)
     add, neg, _ = tables(group)
-    found: dict[int, list] = {}
+    found: list[tuple[int, tuple[int, ...], int]] = []
     prefix: list[int] = []
 
     def dfs(start: int, running: int, cnt: list[int]) -> None:
@@ -46,8 +48,11 @@ def enumerate_atoms(
         want = neg[running]
         for e in range(start, n):
             if e == want and want != 0 and depth + 1 >= 2:
-                atom = tuple(table.decode(c) for c in prefix + [e])
-                found.setdefault(len(atom), []).append(atom)
+                # Proper nonempty subset sums: every sum reached, but for the
+                # empty and the full subset at 0.
+                sums = extend_counts(cnt, (e,), add)
+                mask = sum(1 << x for x, v in enumerate(sums) if v and x)
+                found.append((depth + 1, tuple(prefix + [e]), mask))
             if depth + 1 <= max_len - 1 and cnt[neg[e]] == 0:
                 prefix.append(e)
                 dfs(e, add[running][e], extend_counts(cnt, (e,), add))
@@ -56,9 +61,10 @@ def enumerate_atoms(
     root = [0] * n
     root[0] = 1
     dfs(1, 0, root)
-    atoms_by_length = tuple((l, tuple(sorted(found[l]))) for l in sorted(found))
-    complete = max_len >= n or not found.get(max_len)
-    return AtomCatalog(group, atoms_by_length, max_len, complete)
+    found.sort()
+    _, codes, sums = zip(*found)
+    complete = max_len >= n or max(len(atom) for atom in codes) < max_len
+    return AtomCatalog(group, codes, sums, max_len, complete)
 
 
 def maximize_over_ufims(
@@ -155,3 +161,45 @@ def maximize_over_ufims(
             best_value, best_witness = value, witness
     return SearchOutcome(best_value, best_witness, stats)
 
+
+
+def iter_ufims(
+    group: FiniteAbelianGroup,
+    catalog: AtomCatalog,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All unique-factorization unions of atoms, as tuples of code blocks.
+
+    Visits every UFIM over the group whose blocks are in the catalog; the
+    product and block-count caps are valid for all UFIMs, so with a complete
+    catalog this is every UFIM. The empty union is not yielded. A union of
+    m blocks has unique factorization exactly when 0 is reached by 2^m
+    subsets, the unions of its blocks.
+    """
+    n = group.order
+    if n == 1 or catalog.count == 0:
+        return
+    table = group_table(group)
+    add = tables(group)[0]
+    blocks = sorted(
+        (len(atom), tuple(table.encode(el) for el in atom)) for atom in catalog.atoms()
+    )
+    m_cap = n.bit_length() - 1
+    chosen: list[tuple[int, ...]] = []
+
+    def dfs(min_idx: int, m: int, prod: int, cnt: list[int]):
+        for j in range(min_idx, len(blocks)):
+            length, codes = blocks[j]
+            if prod * length > n:
+                break
+            nxt = extend_counts(cnt, codes, add)
+            if nxt[0] != 1 << (m + 1):
+                continue
+            chosen.append(codes)
+            yield tuple(chosen)
+            if m + 1 < m_cap:
+                yield from dfs(j, m + 1, prod * length, nxt)
+            chosen.pop()
+
+    root = [0] * n
+    root[0] = 1
+    yield from dfs(0, 0, 1, root)

@@ -89,7 +89,7 @@ def test_atom_lengths_have_no_gaps_and_match_formula():
     for order in range(2, 13):
         for group in abelian_groups_of_order(order):
             catalog = atom_catalog(group)
-            lengths = sorted({l for l, atoms in catalog.atoms_by_length if atoms})
+            lengths = sorted({len(atom) for atom in catalog.codes})
             assert lengths == list(range(2, catalog.max_atom_length + 1))
             assert catalog.max_atom_length <= group.order
             if group.rank <= 2:

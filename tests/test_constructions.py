@@ -293,7 +293,7 @@ def test_r_extension_dichotomy():
     stays below the closed-form value with an empty packing, or has no block
     inside the C_r part."""
     from zerosums.atoms import atom_catalog
-    from zerosums.search import iter_ufims
+    from count_vector_reference import iter_ufims
 
     for r, rest in ((2, 3), (2, 5)):
         group = G(r * rest)

@@ -287,7 +287,7 @@ def test_size_limit_examples():
 
 def test_size_limit_on_all_small_ufims():
     from zerosums.atoms import atom_catalog
-    from zerosums.search import iter_ufims
+    from count_vector_reference import iter_ufims
 
     for spec in ([4], [2, 2], [6], [8]):
         group = normalize_group(spec)
@@ -322,7 +322,7 @@ def test_conditional_small_block_bound_on_p_groups():
     """Groups satisfying the smallness hypothesis: every unique-factorization
     union obeys the refined cross-number cap."""
     from zerosums.atoms import atom_catalog
-    from zerosums.search import iter_ufims
+    from count_vector_reference import iter_ufims
 
     activated = 0
     for spec in ([4], [8], [9], [4, 2]):

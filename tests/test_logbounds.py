@@ -77,6 +77,27 @@ def test_zero_coefficient_log_is_exact_zero():
     assert LogBound.ln(3, 0) == LogBound.of(0)
 
 
+def test_constructor_normalizes_terms():
+    zero = LogBound(Fraction(0), ((Fraction(0), Fraction(3)),))
+    assert zero.is_exact
+    assert zero == LogBound.of(0) and hash(zero) == hash(LogBound.of(0))
+    assert zero.sign() == 0
+    merged = LogBound(
+        Fraction(1),
+        ((Fraction(1), Fraction(3)), (Fraction(1, 2), Fraction(4)), (2, 3)),
+        ((Fraction(1), Fraction(1)),),
+    )
+    assert merged == LogBound.of(2) + LogBound.log2(3, 3)
+    assert hash(LogBound(Fraction(1), [], [])) == hash(LogBound.of(1))
+
+
+def test_constructor_rejects_nonpositive_arguments():
+    with pytest.raises(DomainError):
+        LogBound(Fraction(0), ((Fraction(1), Fraction(-3)),)).sign()
+    with pytest.raises(DomainError):
+        LogBound(Fraction(0), (), ((Fraction(0), Fraction(0)),))
+
+
 def test_enclosures_ignore_and_keep_mpmath_precision(monkeypatch):
     import mpmath
 

@@ -1,7 +1,9 @@
 """The subset-sum-support kernel against plain sets and the count-vector
 reference searches."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import count_vector_reference as reference
@@ -16,7 +18,7 @@ from zerosums.errors import DomainError
 from zerosums.groups import abelian_groups_up_to, group_table, normalize_group
 from zerosums.invariants import k1, narkiewicz_n1, to_record
 from zerosums.multisets import cross_number
-from zerosums.search import Budget, iter_ufims, maximize_over_ufims
+from zerosums.search import Budget, maximize_over_ufims
 
 
 def G(*moduli):
@@ -187,7 +189,7 @@ def search_records(group, order):
 
 
 def ufim_listing(group):
-    return list(iter_ufims(group, atom_catalog(group)))
+    return list(reference.iter_ufims(group, atom_catalog(group)))
 
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.key)
@@ -200,6 +202,19 @@ def test_shared_search_rows_are_invisible(group):
     listing = ufim_listing(group)
     assert search_records(group, ("K1", "N1")) == expected
     assert ufim_listing(group) == listing
+
+
+def test_searches_keep_no_catalog_alive():
+    # The catalog memo is the only holder: once it and the table cache are
+    # cleared, nothing left by N1 or K1 keeps the catalog.
+    group = G(2, 6)
+    catalog = weakref.ref(atom_catalog(group))
+    k1(group)
+    narkiewicz_n1(group)
+    clear_catalog_memory()
+    group_table.cache_clear()
+    gc.collect()
+    assert catalog() is None
 
 
 def test_search_rows_follow_the_catalog():
