@@ -8,12 +8,12 @@ sum, and the new support is supp | (supp + e). Appending the negation of the
 running sum closes an atom. Generation in canonical order makes
 deduplication free.
 
-A catalog holds each atom as its ascending codes and, from the support at
-its emission, the mask of its proper nonempty subset sums: the crossing mask
-the unique-factorization search (``search``) tests against. Elements are
-decoded only for ``AtomCatalog.atoms()`` and for witnesses. Cross numbers are
-summed as integers scaled by exp(G) (``scaled_crosses``) and become a
-Fraction once, for the result.
+A catalog holds every atom of its group, each as its ascending codes and,
+from the support at its emission, the mask of its proper nonempty subset
+sums: the crossing mask the unique-factorization search (``search``) tests
+against. Elements are decoded only for ``AtomCatalog.atoms()`` and for
+witnesses. Cross numbers are summed as integers scaled by exp(G)
+(``scaled_crosses``) and become a Fraction once, for the result.
 
 Catalogs live in memory only, one per group for the life of the process
 (``atom_catalog``). They are never written to disk: a catalog read back
@@ -28,18 +28,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import config
-from .errors import (
-    DomainError,
-    IncompleteCatalogError,
-    ResourceLimitError,
-)
+from .errors import ResourceLimitError
 from .groups import Element, FiniteAbelianGroup, group_table
 from .multisets import IndexedMultiset
 
 
 @dataclass(frozen=True)
 class AtomCatalog:
-    """All atoms of a group up to a length bound, in canonical order.
+    """All atoms of a group, in canonical order.
 
     ``codes`` holds each atom as its ascending element codes, in (length,
     codes) order; ``sums`` holds, per atom, the mask of its proper nonempty
@@ -49,8 +45,6 @@ class AtomCatalog:
     group: FiniteAbelianGroup
     codes: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
-    max_length_enumerated: int
-    complete: bool
 
     @property
     def count(self) -> int:
@@ -67,28 +61,20 @@ class AtomCatalog:
             yield tuple([elements[c] for c in atom])
 
 
-def enumerate_atoms(
-    group: FiniteAbelianGroup, max_len: int | None = None
-) -> AtomCatalog:
-    """Depth-first atom enumeration, complete for lengths up to max_len.
+def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
+    """Depth-first enumeration of every atom of the group.
 
-    The catalog is marked complete when no longer atom can exist: either
-    max_len reaches the group order (atoms never exceed it), or no atom of
-    length exactly max_len was found (atom lengths have no gaps, since two
-    elements of a longer atom can always be merged into their sum).
+    The depth needs no bound: a zero-sum-free prefix of length l has at
+    least l + 1 distinct subset sums, so it is shorter than |G|.
     """
     n = group.order
-    if max_len is None:
-        max_len = n
-    if n > 1 and max_len < 2:
-        raise DomainError("atom enumeration needs max_len >= 2")
     cap = config.ATOM_ENTRY_CAP
     if n > config.ATOM_ORDER_CAP:
         raise ResourceLimitError(
             f"group order {n} exceeds atom catalog cap {config.ATOM_ORDER_CAP}"
         )
     if n == 1:
-        return AtomCatalog(group, (), (), max_len, True)
+        return AtomCatalog(group, (), ())
 
     table = group_table(group)
     # add[x][e] = x + e. n <= ATOM_ORDER_CAP, so n rows of n codes; tuples,
@@ -102,17 +88,16 @@ def enumerate_atoms(
 
     # supp = subset sums of the current prefix, as a mask over codes. An
     # atom's subset sums are supp | (supp + e); the empty and the full one
-    # are the only ones at 0, as the atom is minimal.
+    # are the only ones at 0, as the atom is minimal. Codes start at 1, so
+    # e == want only when the prefix is nonempty.
     def dfs(start: int, running: int, supp: int) -> None:
-        depth = len(prefix)
         want = neg[running]
-        extend = depth + 1 <= max_len - 1
         for e in range(start, n):
-            if e == want and want != 0 and depth + 1 >= 2:
+            if e == want:
                 if len(found) >= cap:
                     raise ResourceLimitError(f"atom catalog exceeds {cap} entries")
                 found.append((tuple(prefix + [e]), (supp | translate(supp, e)) & ~1))
-            if extend and not (supp >> neg[e]) & 1:
+            if not (supp >> neg[e]) & 1:
                 prefix.append(e)
                 dfs(e, add[running][e], supp | translate(supp, e))
                 prefix.pop()
@@ -126,11 +111,10 @@ def enumerate_atoms(
 
     # A prefix is emitted before its extensions, so found is in lexicographic
     # order; a stable sort by length gives (length, codes) order. found is
-    # not empty: n > 1 and max_len >= 2, so some (g, -g) is an atom.
+    # not empty: n > 1, so some (g, -g) is an atom.
     found.sort(key=lambda atom: len(atom[0]))
     codes, sums = zip(*found)
-    complete = max_len >= n or len(codes[-1]) < max_len
-    return AtomCatalog(group, codes, sums, max_len, complete)
+    return AtomCatalog(group, codes, sums)
 
 
 # -- in-memory reuse ----------------------------------------------------------
@@ -139,7 +123,7 @@ _MEMORY: dict[FiniteAbelianGroup, AtomCatalog] = {}
 
 
 def atom_catalog(group: FiniteAbelianGroup) -> AtomCatalog:
-    """Complete catalog for the group, memoized for the process lifetime."""
+    """The catalog of the group, memoized for the process lifetime."""
     got = _MEMORY.get(group)
     if got is None:
         got = _MEMORY[group] = enumerate_atoms(group)
@@ -164,11 +148,6 @@ def max_zero_sum_free_cross(
     """
     if catalog is None:
         catalog = atom_catalog(group)
-    if not catalog.complete:
-        raise IncompleteCatalogError(
-            f"catalog for {group} enumerated only up to length "
-            f"{catalog.max_length_enumerated}"
-        )
     weight = cross_weights(group)
     best = 0
     best_witness: tuple[int, ...] = ()

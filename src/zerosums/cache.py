@@ -1,12 +1,13 @@
 """Persistent cache of invariant records.
 
-The cache directory comes from the ZEROSUMS_CACHE_DIR environment variable
-unless a path is given explicitly; with no directory, caching is off.
-Records are written bit-reproducibly for a fixed format version, and
-atomically: a reader sees the old file or the new one, never a partial one.
-A file that does not decode counts as a miss, so it is recomputed and
-rewritten; the caller re-verifies every record it serves. Atom catalogs are
-not persisted (see ``atoms``).
+``open_cache`` opens the directory given explicitly, else the one named by
+the ZEROSUMS_CACHE_DIR environment variable; with neither there is no cache,
+and callers pass ``cache=None``. Records are written bit-reproducibly for a
+fixed format version, and atomically: a reader sees the old file or the new
+one, never a partial one. A file that cannot be read or does not decode
+counts as a miss, so it is recomputed and rewritten; the caller re-verifies
+every record it serves. A record that cannot be written raises
+``CacheError``. Atom catalogs are not persisted (see ``atoms``).
 """
 
 from __future__ import annotations
@@ -15,48 +16,45 @@ import json
 import os
 from pathlib import Path
 
+from .errors import CacheError
+
 ENV_CACHE_DIR = "ZEROSUMS_CACHE_DIR"
 FORMAT_VERSION = 1
 
 
-def resolve_cache_dir(override: str | os.PathLike | None = None) -> Path | None:
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(ENV_CACHE_DIR)
-    return Path(env) if env else None
+def open_cache(override: str | os.PathLike | None = None) -> ResultCache | None:
+    """The cache at override ("" is the current directory), else at
+    $ZEROSUMS_CACHE_DIR; None when neither names one."""
+    if override is None:
+        override = os.environ.get(ENV_CACHE_DIR) or None
+    return None if override is None else ResultCache(override)
 
 
 class ResultCache:
-    """Disk-backed store of invariant records.
+    """Disk-backed store of invariant records under one root directory."""
 
-    A None root disables persistence; lookups miss and writes are dropped.
-    """
-
-    def __init__(self, root: Path | None):
-        self.root = Path(root) if root is not None else None
+    def __init__(self, root: str | os.PathLike):
+        self.root = Path(root)
 
     def _record_path(self, group_key: str, invariant: str) -> Path:
-        assert self.root is not None
         safe = group_key.replace("x", "_")
         return self.root / f"results-v{FORMAT_VERSION}" / f"{safe}__{invariant}.json"
 
     def get_record(self, group_key: str, invariant: str) -> dict | None:
-        if self.root is None:
-            return None
         path = self._record_path(group_key, invariant)
-        if not path.exists():
-            return None
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        except (OSError, ValueError):  # missing or unreadable; does not decode
             return None
         return record if isinstance(record, dict) else None
 
     def put_record(self, record: dict) -> None:
-        if self.root is None:
-            return
         path = self._record_path(record["group_key"], record["invariant"])
-        _write_atomic(path, dump_record(record))
+        try:
+            _write_atomic(path, dump_record(record))
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise CacheError(f"cannot write to the cache: {path}: {reason}") from exc
 
     # Catalogs are not persisted. These two no-ops stay only because
     # perfbench/tracer.py wraps both names on the class and fails on a
@@ -88,5 +86,8 @@ def _write_atomic(path: Path, text: str) -> None:
             tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:  # the first error is the one to report
+            pass
         raise

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .cache import ResultCache, dump_record, resolve_cache_dir
+from .cache import dump_record, open_cache
 from .constructions import construction4_decompose, phiunique_consequences
 from .errors import ResourceLimitError, ZerosumsError
 from .groups import (
@@ -30,6 +30,7 @@ from .groups import (
     reduction_hom,
 )
 from .invariants import (
+    THEOREMS,
     Budget,
     InvariantResult,
     K_star,
@@ -63,7 +64,8 @@ EXIT_RESOURCE = 5
 
 # One table per kind of invariant, keyed by CLI name. The computed entries
 # call through this module's names, so a wrapper installed on those names
-# (perfbench/tracer.py) sees every call.
+# (perfbench/tracer.py) sees every call. Theorem ids for `verify` come from
+# invariants.THEOREMS.
 
 # Closed forms of the group; a catalog column is the name with "star" as "*".
 _FORMULAS = {
@@ -74,17 +76,22 @@ _FORMULAS = {
     "K1star": k1_star,
 }
 
-# Read off the atom catalog, up to config.ATOM_ORDER_CAP.
-_ATOM_INVARIANTS = {
-    "D": lambda g, cache, budget: davenport(g, cache=cache),
-    "K": lambda g, cache, budget: big_cross_K(g, cache=cache),
-    "k": lambda g, cache, budget: little_cross_k(g, cache=cache),
-}
-
-# Unique-factorization searches, up to config.SEARCH_ORDER_CAP, budgeted.
-_SEARCHES = {
-    "N1": lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
-    "K1": lambda g, cache, budget: k1(g, cache=cache, budget=budget),
+# Witnessed invariants: (compute, the config cap on the group order that
+# `catalog` obeys). D, K and k are read off the atom catalog; N1 and K1 are
+# budgeted unique-factorization searches. The cap is named, not copied, as
+# it is read when used.
+_INVARIANTS = {
+    "D": (lambda g, cache, budget: davenport(g, cache=cache), "ATOM_ORDER_CAP"),
+    "K": (lambda g, cache, budget: big_cross_K(g, cache=cache), "ATOM_ORDER_CAP"),
+    "k": (lambda g, cache, budget: little_cross_k(g, cache=cache), "ATOM_ORDER_CAP"),
+    "N1": (
+        lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
+        "SEARCH_ORDER_CAP",
+    ),
+    "K1": (
+        lambda g, cache, budget: k1(g, cache=cache, budget=budget),
+        "SEARCH_ORDER_CAP",
+    ),
 }
 
 # Named upper bounds: CLI name -> key of upper_bounds().
@@ -156,9 +163,8 @@ def _compute_invariant(
         return InvariantResult(
             group, name, _FORMULAS[name](group), None, SearchStats(), "formula"
         )
-    compute = _ATOM_INVARIANTS.get(name) or _SEARCHES.get(name)
-    if compute is not None:
-        return compute(group, cache, budget)
+    if name in _INVARIANTS:
+        return _INVARIANTS[name][0](group, cache, budget)
     if name not in _BOUNDS:
         raise UsageError(f"unknown invariant {name!r}")
     value = upper_bounds(group, cache=cache)[_BOUNDS[name]]
@@ -168,7 +174,7 @@ def _compute_invariant(
 
 def cmd_invariant(args) -> int:
     group = parse_group_spec(args.group)
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = open_cache(args.cache_dir)
     start = time.perf_counter()
     result = _compute_invariant(group, args.invariant, cache, _budget(args))
     millis = int((time.perf_counter() - start) * 1000)
@@ -181,41 +187,36 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params: dict = {}
-    if args.theorem == "gaowang":
-        if not args.orders:
-            raise UsageError("--orders is required for gaowang")
-        bounds = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", args.orders)
-        if bounds:
-            lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
-        if not bounds or not 1 <= lo <= hi:
-            raise UsageError(
-                f"malformed --orders {args.orders!r}: want LO or LO..HI, "
-                "positive integers with LO <= HI"
-            )
-        params["orders"] = range(lo, hi + 1)
-    elif args.theorem in ("mainthm1", "mainthm2", "n1k1"):
-        needed = {
-            "mainthm1": ("p", "m", "n"),
-            "mainthm2": ("p", "m", "q", "n"),
-            "n1k1": ("p", "n"),
-        }[args.theorem]
-        for field in needed:
-            value = getattr(args, field)
-            if value is None:
-                raise UsageError(f"--{field} is required for {args.theorem}")
-            params[field] = value
-    elif args.theorem == "maximal-split-pq":
-        if not args.pq:
-            raise UsageError("--pq is required for maximal-split-pq")
-        try:
-            p, q = (int(x) for x in args.pq.split(","))
-        except ValueError as exc:
-            raise UsageError(f"malformed --pq {args.pq!r}") from exc
-        params.update(p=p, q=q)
-    else:
+    if args.theorem not in THEOREMS:
         raise UsageError(f"unknown theorem {args.theorem!r}")
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    # Each parameter comes from the option of its name, but for the two
+    # primes of maximal-split-pq, which come as one option, --pq.
+    names = THEOREMS[args.theorem].params
+    if args.theorem == "maximal-split-pq":
+        names = ("pq",)
+    params: dict = {}
+    for name in names:
+        value = getattr(args, name)
+        if value in (None, ""):
+            raise UsageError(f"--{name} is required for {args.theorem}")
+        if name == "orders":
+            bounds = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", value)
+            if bounds:
+                lo, hi = int(bounds[1]), int(bounds[2] or bounds[1])
+            if not bounds or not 1 <= lo <= hi:
+                raise UsageError(
+                    f"malformed --orders {value!r}: want LO or LO..HI, "
+                    "positive integers with LO <= HI"
+                )
+            params["orders"] = range(lo, hi + 1)
+        elif name == "pq":
+            try:
+                params["p"], params["q"] = (int(x) for x in value.split(","))
+            except ValueError as exc:
+                raise UsageError(f"malformed --pq {value!r}") from exc
+        else:
+            params[name] = value
+    cache = open_cache(args.cache_dir)
     report = verify_family(args.theorem, params, cache=cache, budget=_budget(args))
     if args.format == "json":
         payload = {
@@ -256,7 +257,7 @@ def cmd_decompose(args) -> int:
     ms = IndexedMultiset.from_elements(group, payload["elements"])
     phi = parse_hom_spec(group, args.hom)
     decomposition = construction4_decompose(ms, phi)
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = open_cache(args.cache_dir)
     ker = kernel_structure(phi)
     quot = quotient_structure(phi)
     parts = {
@@ -299,7 +300,7 @@ def cmd_decompose(args) -> int:
 def cmd_catalog(args) -> int:
     from .groups import abelian_groups_up_to
 
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = open_cache(args.cache_dir)
     budget = _budget(args)
     rows = []
     any_incomplete = False
@@ -307,28 +308,21 @@ def cmd_catalog(args) -> int:
         row: dict = {"group": group.key}
         for name, formula in _FORMULAS.items():
             row[name.replace("star", "*")] = format_value(formula(group))
+        row["K1 gap"] = "-"
         provenances = set()
-        exact = {}
-        for table, cap in (
-            (_ATOM_INVARIANTS, config.ATOM_ORDER_CAP),
-            (_SEARCHES, config.SEARCH_ORDER_CAP),
-        ):
-            for name, compute in table.items():
-                if group.order > cap:
-                    row[name] = "-"
-                    continue
-                res = compute(group, cache, budget)
-                provenances.add(res.provenance)
-                if res.complete:
-                    row[name] = format_value(res.value)
-                    exact[name] = res.value
-                else:
-                    row[name] = f">={format_value(res.value)} (incomplete)"
-                    any_incomplete = True
-        if "K1" in exact:
-            row["K1 gap"] = format_value(exact["K1"] - k1_star(group))
-        else:
-            row["K1 gap"] = "-"
+        for name, (compute, cap) in _INVARIANTS.items():
+            if group.order > getattr(config, cap):
+                row[name] = "-"
+                continue
+            res = compute(group, cache, budget)
+            provenances.add(res.provenance)
+            if not res.complete:
+                row[name] = f">={format_value(res.value)} (incomplete)"
+                any_incomplete = True
+                continue
+            row[name] = format_value(res.value)
+            if name == "K1":
+                row["K1 gap"] = format_value(res.value - k1_star(group))
         row["provenance"] = (
             "cached" if provenances == {"cached"} else "computed"
         )
@@ -368,16 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("-g", "--group", required=True,
                        help="comma-separated moduli, e.g. 4,2 or 2^2,3")
     p_inv.add_argument("-i", "--invariant", required=True,
-                       help=" ".join(
-                           [*_ATOM_INVARIANTS, *_SEARCHES, *_FORMULAS, *_BOUNDS]
-                       ))
+                       help=" ".join([*_INVARIANTS, *_FORMULAS, *_BOUNDS]))
     p_inv.add_argument("--witness", action="store_true")
     common(p_inv)
     p_inv.set_defaults(func=cmd_invariant)
 
     p_ver = sub.add_parser("verify", help="verify a theorem family on a grid")
     p_ver.add_argument("--theorem", required=True,
-                       help="gaowang mainthm1 mainthm2 n1k1 maximal-split-pq")
+                       help=" ".join(THEOREMS))
     p_ver.add_argument("--orders", default=None, help="order range, e.g. 2..9")
     p_ver.add_argument("--p", type=int, default=None)
     p_ver.add_argument("--q", type=int, default=None)

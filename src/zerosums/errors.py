@@ -37,8 +37,8 @@ class ResourceLimitError(ZerosumsError, RuntimeError):
     """A configured size, entry, or enumeration cap was exceeded."""
 
 
-class IncompleteCatalogError(ZerosumsError, RuntimeError):
-    """An operation needs a complete atom catalog but got a truncated one."""
+class CacheError(ZerosumsError, OSError):
+    """A record could not be written to the cache directory."""
 
 
 class LemmaNotApplicableError(ZerosumsError, ValueError):

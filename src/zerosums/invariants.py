@@ -12,10 +12,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import config, constructions
-from .atoms import _witness_from_codes, atom_catalog, scaled_crosses
+from .atoms import (
+    _witness_from_codes,
+    atom_catalog,
+    max_zero_sum_free_cross,
+    scaled_crosses,
+)
 from .cache import ResultCache
 from .errors import (
     ConstraintInapplicableError,
@@ -48,6 +53,7 @@ __all__ = [
     "InstanceCheck",
     "InvariantResult",
     "K_star",
+    "THEOREMS",
     "big_cross_K",
     "check_size_limit",
     "d_star",
@@ -212,9 +218,24 @@ def _locally_least_zero_sum_free(witness: IndexedMultiset | None) -> bool:
     return True
 
 
-def _store(result: InvariantResult, cache: ResultCache | None) -> None:
+def _lookup_or_compute(
+    group: FiniteAbelianGroup,
+    invariant: str,
+    cache: ResultCache | None,
+    compute: Callable[[FiniteAbelianGroup], tuple],
+) -> InvariantResult:
+    """A witnessed invariant: a verified cache hit, or the (value, witness,
+    stats) of ``compute(group)``, stored when the computation completed."""
+    got = _cached(group, invariant, cache)
+    if got is not None:
+        return got
+    value, witness, stats = compute(group)
+    result = InvariantResult(
+        group, invariant, value, witness, stats, "computed", stats.complete
+    )
     if cache is not None and result.complete:
         cache.put_record(to_record(result))
+    return result
 
 
 # -- atom-catalog invariants --------------------------------------------------
@@ -224,84 +245,62 @@ def davenport(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Longest atom (Davenport constant), with a longest atom as witness."""
-    got = _cached(group, "D", cache)
-    if got is not None:
-        return got
+    return _lookup_or_compute(group, "D", cache, _longest_atom)
+
+
+def _longest_atom(group: FiniteAbelianGroup) -> tuple:
     catalog = atom_catalog(group)
-    stats = SearchStats(nodes=catalog.count)
     codes = catalog.codes
     length = catalog.max_atom_length
     witness = codes[bisect_left(codes, length, key=len)] if codes else ()
-    result = InvariantResult(
-        group,
-        "D",
+    return (
         Fraction(length),
         _witness_from_codes(group, witness),
-        stats,
-        "computed",
+        SearchStats(nodes=catalog.count),
     )
-    _store(result, cache)
-    return result
 
 
 def big_cross_K(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Maximum cross number over atoms, with a canonically least witness."""
-    got = _cached(group, "K", cache)
-    if got is not None:
-        return got
+    return _lookup_or_compute(group, "K", cache, _largest_atom_cross)
+
+
+def _largest_atom_cross(group: FiniteAbelianGroup) -> tuple:
     catalog = atom_catalog(group)
-    stats = SearchStats(nodes=catalog.count)
     crosses = scaled_crosses(catalog)
     best = max(crosses, default=0)
     best_atom = min(
         (atom for atom, v in zip(catalog.codes, crosses) if v == best), default=()
     )
-    result = InvariantResult(
-        group,
-        "K",
+    return (
         Fraction(best, group.exponent),
         _witness_from_codes(group, best_atom),
-        stats,
-        "computed",
+        SearchStats(nodes=catalog.count),
     )
-    _store(result, cache)
-    return result
 
 
 def little_cross_k(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Maximum cross number over zero-sum-free multisets."""
-    from .atoms import max_zero_sum_free_cross
+    return _lookup_or_compute(group, "k", cache, _largest_zero_sum_free_cross)
 
-    got = _cached(group, "k", cache)
-    if got is not None:
-        return got
+
+def _largest_zero_sum_free_cross(group: FiniteAbelianGroup) -> tuple:
     catalog = atom_catalog(group)
-    stats = SearchStats(nodes=catalog.count)
     value, witness = max_zero_sum_free_cross(group, catalog)
-    result = InvariantResult(
-        group, "k", value, witness if witness.size else None, stats, "computed"
-    )
-    _store(result, cache)
-    return result
+    return value, witness if witness.size else None, SearchStats(nodes=catalog.count)
 
 
 # -- search invariants ----------------------------------------------------------
 
 
 def _search_invariant(
-    group: FiniteAbelianGroup,
-    invariant: str,
-    *,
-    cache: ResultCache | None,
-    budget: Budget | None,
-) -> InvariantResult:
-    got = _cached(group, invariant, cache)
-    if got is not None:
-        return got
+    group: FiniteAbelianGroup, invariant: str, budget: Budget | None
+) -> tuple:
+    """Branch-and-bound search for K1 or N1, seeded with a construction."""
     if group.order > config.SEARCH_ORDER_CAP:
         raise ResourceLimitError(
             f"group order {group.order} exceeds the search cap "
@@ -326,18 +325,11 @@ def _search_invariant(
     outcome = maximize_over_ufims(
         group, catalog, kind, floor_value, floor_codes, budget=budget
     )
-    witness = _witness_from_codes(group, outcome.witness_codes)
-    result = InvariantResult(
-        group,
-        invariant,
+    return (
         outcome.value,
-        witness,
+        _witness_from_codes(group, outcome.witness_codes),
         outcome.stats,
-        "computed",
-        complete=outcome.stats.complete,
     )
-    _store(result, cache)
-    return result
 
 
 def k1(
@@ -353,7 +345,9 @@ def k1(
     on budget exhaustion the incumbent is returned with complete=False.
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _search_invariant(group, "K1", cache=cache, budget=budget)
+    return _lookup_or_compute(
+        group, "K1", cache, lambda g: _search_invariant(g, "K1", budget)
+    )
 
 
 def narkiewicz_n1(
@@ -367,7 +361,9 @@ def narkiewicz_n1(
 
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _search_invariant(group, "N1", cache=cache, budget=budget)
+    return _lookup_or_compute(
+        group, "N1", cache, lambda g: _search_invariant(g, "N1", budget)
+    )
 
 
 # -- bounds --------------------------------------------------------------------
@@ -636,6 +632,109 @@ def _in_verified_k1_family(group: FiniteAbelianGroup) -> bool:
     return False
 
 
+def _instance(label: str, lhs, rhs, holds: bool, complete: bool) -> InstanceCheck:
+    """One instance: it passes when its searches completed and it holds."""
+    note = "" if complete else "incomplete (budget)"
+    return InstanceCheck(label, str(lhs), str(rhs), complete and holds, note)
+
+
+# Each check takes the parameters and ``search(compute, group)``, which runs
+# ``compute`` (k1 or narkiewicz_n1) with the caller's cache and budget.
+
+
+def _check_gaowang(params: dict, search) -> list[InstanceCheck]:
+    instances = []
+    for order in params["orders"]:
+        for g in abelian_groups_of_order(order):
+            if _in_verified_k1_family(g):
+                res = search(k1, g)
+                expected = k1_star(g)
+                instances.append(_instance(
+                    g.key, res.value, expected, res.value == expected, res.complete
+                ))
+    return instances
+
+
+def _k1_at_most_sum(search, label: str, moduli, parts, offset: int = 0) -> list:
+    """The instance K1(moduli) <= offset + the sum of K1(part) over parts."""
+    res = search(k1, normalize_group(moduli))
+    rhs = sum(
+        (search(k1, normalize_group(part)).value for part in parts), Fraction(offset)
+    )
+    return [_instance(label, res.value, rhs, res.value <= rhs, res.complete)]
+
+
+def _check_mainthm1(params: dict, search) -> list[InstanceCheck]:
+    p, m, n = params["p"], params["m"], params["n"]
+    return _k1_at_most_sum(
+        search, f"p={p},m={m},n={n}", [p**m] + [p] * n, ([p**m], [p] * (n + 1)), -1
+    )
+
+
+def _check_mainthm2(params: dict, search) -> list[InstanceCheck]:
+    p, m, q, n = params["p"], params["m"], params["q"], params["n"]
+    return _k1_at_most_sum(
+        search, f"p={p},m={m},q={q},n={n}", [p**m] + [q] * n, ([p**m], [q] * n)
+    )
+
+
+def _check_n1k1(params: dict, search) -> list[InstanceCheck]:
+    p, n = params["p"], params["n"]
+    g = normalize_group([p] * n)
+    n1_res = search(narkiewicz_n1, g)
+    k1_res = search(k1, g)
+    return [_instance(
+        f"p={p},n={n}",
+        n1_res.value,
+        f"{p}*{k1_res.value} = {p * k1_res.value}",
+        n1_res.value == p * k1_res.value,
+        n1_res.complete and k1_res.complete,
+    )]
+
+
+def _check_maximal_split(params: dict, search) -> list[InstanceCheck]:
+    p, q = params["p"], params["q"]
+    g = normalize_group([p * q])
+    res = search(k1, g)
+    label = f"pq={p}*{q}"
+    if not res.complete:
+        return [_instance(label, res.value, k1_star(g), False, False)]
+    witness = res.witness
+    orders = [g.element_order(el) for el in witness.elements()]
+    parts = [
+        witness.submultiset(
+            [lbl for lbl, el in witness.items if g.element_order(el) == prime]
+        )
+        for prime in (p, q)
+    ]
+    split = all(o in (p, q) for o in orders) and all(
+        is_ufim(part) for part in parts if part.size
+    )
+    return [_instance(
+        label,
+        f"K1={res.value}, max witness order {max(orders)}",
+        f"no element of order {p * q}; parts factor uniquely",
+        res.value == k1_star(g) and split,
+        True,
+    )]
+
+
+class Theorem(NamedTuple):
+    params: tuple[str, ...]
+    check: Callable[[dict, Callable], list[InstanceCheck]]
+
+
+# The theorem families verify_family checks, by id; the CLI reads its
+# theorem ids and their parameter names from here.
+THEOREMS = {
+    "gaowang": Theorem(("orders",), _check_gaowang),
+    "mainthm1": Theorem(("p", "m", "n"), _check_mainthm1),
+    "mainthm2": Theorem(("p", "m", "q", "n"), _check_mainthm2),
+    "n1k1": Theorem(("p", "n"), _check_n1k1),
+    "maximal-split-pq": Theorem(("p", "q"), _check_maximal_split),
+}
+
+
 def verify_family(
     theorem: str,
     params: dict,
@@ -644,131 +743,30 @@ def verify_family(
     budget: Budget | None = None,
     workers: int = 1,
 ) -> FamilyReport:
-    """Check one theorem family on a parameter grid by exact computation.
+    """Check one theorem family of ``THEOREMS`` on a parameter grid by exact
+    computation.
 
-    The parameters p and q must be primes and m and n at least 1; anything
-    else raises DomainError before any search. ``workers`` is accepted and
-    ignored, as in ``k1``.
+    The parameters the theorem names must all be given; p and q must be
+    primes, and distinct when both are needed; m and n must be at least 1.
+    Anything else raises DomainError before any search. ``workers`` is
+    accepted and ignored, as in ``k1``.
     """
+    if theorem not in THEOREMS:
+        raise DomainError(f"unknown theorem id {theorem!r}")
+    needed, check = THEOREMS[theorem]
+    for name in needed:
+        if name not in params:
+            raise DomainError(f"{theorem} needs the parameter {name!r}")
     for name in ("p", "q"):
         if name in params and not is_prime(params[name]):
             raise DomainError(f"{name} must be a prime, got {params[name]}")
     for name in ("m", "n"):
         if name in params and params[name] < 1:
             raise DomainError(f"{name} must be at least 1, got {params[name]}")
-    report = FamilyReport(theorem)
+    if "q" in needed and params["p"] == params["q"]:
+        raise DomainError("the primes must be distinct")
 
-    def k1_value(g: FiniteAbelianGroup) -> tuple[Fraction, bool, InvariantResult]:
-        res = k1(g, cache=cache, budget=budget)
-        return res.value, res.complete, res
+    def search(compute, g: FiniteAbelianGroup) -> InvariantResult:
+        return compute(g, cache=cache, budget=budget)
 
-    if theorem == "gaowang":
-        for order in params["orders"]:
-            for g in abelian_groups_of_order(order):
-                if not _in_verified_k1_family(g):
-                    continue
-                value, complete, _ = k1_value(g)
-                expected = k1_star(g)
-                report.instances.append(
-                    InstanceCheck(
-                        label=g.key,
-                        lhs=str(value),
-                        rhs=str(expected),
-                        passed=complete and value == expected,
-                        note="" if complete else "incomplete (budget)",
-                    )
-                )
-    elif theorem == "mainthm1":
-        p, m, n = params["p"], params["m"], params["n"]
-        g = normalize_group([p**m] + [p] * n)
-        lhs, complete, _ = k1_value(g)
-        rhs = (
-            k1_value(normalize_group([p**m]))[0]
-            + k1_value(normalize_group([p] * (n + 1)))[0]
-            - 1
-        )
-        report.instances.append(
-            InstanceCheck(
-                label=f"p={p},m={m},n={n}",
-                lhs=str(lhs),
-                rhs=str(rhs),
-                passed=complete and lhs <= rhs,
-                note="" if complete else "incomplete (budget)",
-            )
-        )
-    elif theorem == "mainthm2":
-        p, m, q, n = params["p"], params["m"], params["q"], params["n"]
-        if p == q:
-            raise DomainError("the primes must be distinct")
-        g = normalize_group([p**m] + [q] * n)
-        lhs, complete, _ = k1_value(g)
-        rhs = (
-            k1_value(normalize_group([p**m]))[0]
-            + k1_value(normalize_group([q] * n))[0]
-        )
-        report.instances.append(
-            InstanceCheck(
-                label=f"p={p},m={m},q={q},n={n}",
-                lhs=str(lhs),
-                rhs=str(rhs),
-                passed=complete and lhs <= rhs,
-                note="" if complete else "incomplete (budget)",
-            )
-        )
-    elif theorem == "n1k1":
-        p, n = params["p"], params["n"]
-        g = normalize_group([p] * n)
-        n1_res = narkiewicz_n1(g, cache=cache, budget=budget)
-        k1_res = k1(g, cache=cache, budget=budget)
-        complete = n1_res.complete and k1_res.complete
-        report.instances.append(
-            InstanceCheck(
-                label=f"p={p},n={n}",
-                lhs=str(n1_res.value),
-                rhs=f"{p}*{k1_res.value} = {p * k1_res.value}",
-                passed=complete and n1_res.value == p * k1_res.value,
-                note="" if complete else "incomplete (budget)",
-            )
-        )
-    elif theorem == "maximal-split-pq":
-        p, q = params["p"], params["q"]
-        if p == q:
-            raise DomainError("needs two distinct primes")
-        g = normalize_group([p * q])
-        res = k1(g, cache=cache, budget=budget)
-        if not res.complete:
-            report.instances.append(
-                InstanceCheck(
-                    label=f"pq={p}*{q}",
-                    lhs=str(res.value),
-                    rhs=str(k1_star(g)),
-                    passed=False,
-                    note="incomplete (budget)",
-                )
-            )
-        else:
-            witness = res.witness
-            orders = [g.element_order(el) for el in witness.elements()]
-            no_cross_terms = all(o in (p, q) for o in orders)
-            split_ok = no_cross_terms
-            if no_cross_terms:
-                for prime in (p, q):
-                    labels = [
-                        lbl
-                        for lbl, el in witness.items
-                        if g.element_order(el) == prime
-                    ]
-                    part = witness.submultiset(labels)
-                    if part.size and not is_ufim(part):
-                        split_ok = False
-            report.instances.append(
-                InstanceCheck(
-                    label=f"pq={p}*{q}",
-                    lhs=f"K1={res.value}, max witness order {max(orders)}",
-                    rhs=f"no element of order {p * q}; parts factor uniquely",
-                    passed=res.value == k1_star(g) and no_cross_terms and split_ok,
-                )
-            )
-    else:
-        raise DomainError(f"unknown theorem id {theorem!r}")
-    return report
+    return FamilyReport(theorem, check(params, search))

@@ -31,14 +31,10 @@ def extend_counts(cnt: list[int], codes, add) -> list[int]:
     return cnt
 
 
-def enumerate_atoms(
-    group: FiniteAbelianGroup, max_len: int | None = None
-) -> AtomCatalog:
+def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
     n = group.order
-    if max_len is None:
-        max_len = n
     if n == 1:
-        return AtomCatalog(group, (), (), max_len, True)
+        return AtomCatalog(group, (), ())
     add, neg, _ = tables(group)
     found: list[tuple[int, tuple[int, ...], int]] = []
     prefix: list[int] = []
@@ -53,7 +49,7 @@ def enumerate_atoms(
                 sums = extend_counts(cnt, (e,), add)
                 mask = sum(1 << x for x, v in enumerate(sums) if v and x)
                 found.append((depth + 1, tuple(prefix + [e]), mask))
-            if depth + 1 <= max_len - 1 and cnt[neg[e]] == 0:
+            if depth + 1 <= n - 1 and cnt[neg[e]] == 0:
                 prefix.append(e)
                 dfs(e, add[running][e], extend_counts(cnt, (e,), add))
                 prefix.pop()
@@ -63,8 +59,7 @@ def enumerate_atoms(
     dfs(1, 0, root)
     found.sort()
     _, codes, sums = zip(*found)
-    complete = max_len >= n or max(len(atom) for atom in codes) < max_len
-    return AtomCatalog(group, codes, sums, max_len, complete)
+    return AtomCatalog(group, codes, sums)
 
 
 def maximize_over_ufims(

@@ -15,7 +15,7 @@ from zerosums import (
     normalize_group,
     trivial_group,
 )
-from zerosums.errors import IncompleteCatalogError, ResourceLimitError
+from zerosums.errors import ResourceLimitError
 from zerosums.invariants import d_star
 
 
@@ -47,18 +47,17 @@ def brute_force_atoms(group, max_len):
 
 
 def test_enumerate_atoms_examples():
-    c2 = enumerate_atoms(normalize_group([2]), 2)
+    c2 = enumerate_atoms(normalize_group([2]))
     assert list(c2.atoms()) == [((1,), (1,))]
-    assert c2.complete
 
-    c3 = enumerate_atoms(normalize_group([3]), 3)
+    c3 = enumerate_atoms(normalize_group([3]))
     assert list(c3.atoms()) == [
         ((1,), (2,)),
         ((1,), (1,), (1,)),
         ((2,), (2,), (2,)),
     ]
 
-    c22 = enumerate_atoms(normalize_group([2, 2]), 3)
+    c22 = enumerate_atoms(normalize_group([2, 2]))
     atoms = list(c22.atoms())
     assert len(atoms) == 4
     assert ((0, 1), (1, 0), (1, 1)) in atoms
@@ -98,22 +97,13 @@ def test_atom_lengths_have_no_gaps_and_match_formula():
 
 def test_trivial_group_catalog():
     catalog = atom_catalog(trivial_group())
-    assert catalog.count == 0 and catalog.complete
-
-
-def test_incomplete_catalog_flag_and_error():
-    c4 = normalize_group([4])
-    truncated = enumerate_atoms(c4, 2)
-    assert not truncated.complete  # atoms of length exactly 2 exist
-    with pytest.raises(IncompleteCatalogError):
-        max_zero_sum_free_cross(c4, truncated)
-    assert enumerate_atoms(c4, 4).complete
+    assert catalog.count == 0
 
 
 def test_entry_cap(monkeypatch):
     monkeypatch.setattr(config, "ATOM_ENTRY_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        enumerate_atoms(normalize_group([8]), 8)
+        enumerate_atoms(normalize_group([8]))
 
 
 def test_max_zero_sum_free_cross_examples():

@@ -7,7 +7,10 @@ import pytest
 
 from zerosums import cli, config
 from zerosums.atoms import clear_catalog_memory
+from zerosums.cache import ResultCache, open_cache
 from zerosums.cli import build_parser, main
+from zerosums.groups import normalize_group
+from zerosums.invariants import THEOREMS
 
 
 def run(capsys, *argv):
@@ -277,6 +280,48 @@ def test_stale_catalog_with_a_foreign_element_does_not_break_k1(
     assert json.loads(out)["value"] == "3/2"
 
 
+def test_unwritable_cache_dir_is_an_error_not_a_traceback(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run(
+        capsys, "invariant", "-g", "4", "-i", "K1", "--cache-dir", str(not_a_dir)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write to the cache: ")
+    assert "Not a directory" in err
+
+
+def test_unreadable_record_is_a_miss(tmp_path, capsys):
+    # A directory where the record should be: the lookup misses, the result
+    # is computed, and storing it over the directory is an error.
+    (tmp_path / "results-v1" / "4__K1.json").mkdir(parents=True)
+    assert ResultCache(tmp_path).get_record("4", "K1") is None
+    code, out, err = run(
+        capsys, "invariant", "-g", "4", "-i", "K1", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write to the cache: ")
+    assert "Is a directory" in err
+    assert not list((tmp_path / "results-v1").glob(".*.tmp"))
+
+
+def test_cache_dir_comes_from_the_option_then_the_environment(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.delenv("ZEROSUMS_CACHE_DIR", raising=False)
+    assert open_cache() is None
+    monkeypatch.setenv("ZEROSUMS_CACHE_DIR", "")
+    assert open_cache() is None
+    monkeypatch.setenv("ZEROSUMS_CACHE_DIR", str(tmp_path))
+    assert open_cache().root == tmp_path
+    assert open_cache(tmp_path / "other").root == tmp_path / "other"
+    # An empty option is the current directory, not "no cache".
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ZEROSUMS_CACHE_DIR")
+    assert run(capsys, "invariant", "-g", "4", "-i", "K1", "--cache-dir", "")[0] == 0
+    assert (tmp_path / "results-v1" / "4__K1.json").is_file()
+
+
 def test_elapsed_includes_the_catalog(tmp_path, capsys):
     # D reads the C_24 catalog (28,064 atoms) and runs no search.
     clear_catalog_memory()
@@ -348,22 +393,37 @@ def test_unknown_names_exit_before_computing(monkeypatch, capsys):
     assert calls == []
 
 
-def _invariant_help() -> str:
+def _option_help(command: str, dest: str) -> str:
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next(
-        a for a in sub.choices["invariant"]._actions if a.dest == "invariant"
-    ).help
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).help
 
 
 def test_invariant_help_lists_the_registry(capsys):
-    names = _invariant_help().split()
-    registry = [
-        *cli._ATOM_INVARIANTS, *cli._SEARCHES, *cli._FORMULAS, *cli._BOUNDS
-    ]
+    names = _option_help("invariant", "invariant").split()
+    registry = [*cli._INVARIANTS, *cli._FORMULAS, *cli._BOUNDS]
     assert sorted(names) == sorted(registry)
     for name in names:
         assert run(capsys, "invariant", "-g", "2,2", "-i", name)[0] == 0
+
+
+def test_theorem_help_lists_the_theorem_table():
+    assert _option_help("verify", "theorem").split() == list(THEOREMS)
+
+
+def test_catalog_prints_a_dash_above_each_cap(monkeypatch, capsys):
+    monkeypatch.setattr(config, "SEARCH_ORDER_CAP", 3)
+    monkeypatch.setattr(config, "ATOM_ORDER_CAP", 5)
+    code, out, _ = run(capsys, "catalog", "--max-order", "6", "--format", "json")
+    assert code == 0
+    rows = {row["group"]: row for row in json.loads(out)}
+    assert list(rows) == ["2", "3", "2x2", "4", "5", "6"]
+    for key, row in rows.items():
+        order = normalize_group([int(m) for m in key.split("x")]).order
+        for column in ("D", "K", "k"):
+            assert (row[column] == "-") == (order > 5), (key, column)
+        for column in ("N1", "K1", "K1 gap"):
+            assert (row[column] == "-") == (order > 3), (key, column)
 
 
 def test_catalog_and_invariant_agree(tmp_path, capsys):
@@ -375,7 +435,7 @@ def test_catalog_and_invariant_agree(tmp_path, capsys):
     rows = json.loads(out)
     columns = {
         **{name.replace("star", "*"): name for name in cli._FORMULAS},
-        **{name: name for name in (*cli._ATOM_INVARIANTS, *cli._SEARCHES)},
+        **{name: name for name in cli._INVARIANTS},
     }
     assert len(rows) == 10
     for row in rows:

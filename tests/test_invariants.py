@@ -36,6 +36,7 @@ from zerosums import (
 from zerosums.cache import ResultCache
 from zerosums.errors import (
     ConstraintInapplicableError,
+    DomainError,
     LemmaNotApplicableError,
     ResourceLimitError,
 )
@@ -449,3 +450,17 @@ def test_verify_family_mainthm_instances():
     assert verify_family("mainthm2", {"p": 2, "m": 2, "q": 3, "n": 1}).all_passed
     assert verify_family("n1k1", {"p": 2, "n": 2}).all_passed
     assert verify_family("maximal-split-pq", {"p": 2, "q": 3}).all_passed
+
+
+@pytest.mark.parametrize(
+    "theorem, params, missing",
+    [
+        ("mainthm1", {"p": 2}, "m"),
+        ("gaowang", {}, "orders"),
+        ("maximal-split-pq", {"p": 2}, "q"),
+    ],
+)
+def test_verify_family_names_a_missing_parameter(theorem, params, missing):
+    message = f"{theorem} needs the parameter '{missing}'$"
+    with pytest.raises(DomainError, match=message):
+        verify_family(theorem, params)
