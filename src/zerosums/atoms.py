@@ -56,9 +56,9 @@ class AtomCatalog:
 
     def atoms(self) -> Iterator[tuple[Element, ...]]:
         """Atoms as elements, ordered by (length, elements)."""
-        elements = group_table(self.group).elements
+        decode = group_table(self.group).decode
         for atom in self.codes:
-            yield tuple([elements[c] for c in atom])
+            yield tuple([decode(c) for c in atom])
 
 
 def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
@@ -77,6 +77,7 @@ def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
         return AtomCatalog(group, (), ())
 
     table = group_table(group)
+    table.fill_all()  # the DFS reads every code
     # add[x][e] = x + e. n <= ATOM_ORDER_CAP, so n rows of n codes; tuples,
     # since the search indexes them faster than bytes.
     add = [tuple(table.row(x)) for x in range(n)]
@@ -173,7 +174,8 @@ def max_zero_sum_free_cross(
 def cross_weights(group: FiniteAbelianGroup) -> list[int]:
     """exp(G) // ord(g) per element code: cross numbers scaled to integers."""
     exp = group.exponent
-    return [exp // o for o in group_table(group).order]
+    order = group_table(group).order
+    return [exp // order[c] for c in range(group.order)]
 
 
 def scaled_crosses(catalog: AtomCatalog) -> list[int]:

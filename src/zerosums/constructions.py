@@ -242,17 +242,17 @@ def construction4_decompose(
     # the kernel minus zero.
     table = group_table(ms.group)
     l = len(rest)
-    codes = [table.code[entry[r]] for r in rest]
+    codes = table.encode_all([entry[r] for r in rest])
     sums = table.subset_sums(codes)
 
     def mask_codes(mask: int) -> list[int]:
         return [codes[i] for i in range(l) if mask >> i & 1]
 
+    kernel_codes = table.encode_all([g for g in kernel_elements(phi) if any(g)])
     candidates = sorted(
         mask
-        for g in kernel_elements(phi)
-        if any(g)
-        for mask in masks_with_sum(sums, table.code[g])
+        for g in kernel_codes
+        for mask in masks_with_sum(sums, g)
         if table.zero_sum_free(mask_codes(mask))
     )
 

@@ -83,7 +83,7 @@ def _codes(ms: IndexedMultiset) -> tuple[list[int], list[int], "object"]:
     table = group_table(ms.group)
     labels = sorted(ms.labels)
     entry = ms.entries
-    codes = [table.encode(entry[l]) for l in labels]
+    codes = table.encode_all([entry[l] for l in labels])
     return labels, codes, table
 
 

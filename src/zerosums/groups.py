@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -228,10 +228,20 @@ class Homomorphism:
     def __call__(self, g: Element) -> Element:
         if not self.source.contains(g):
             raise DomainError(f"{g} is not an element of {self.source}")
-        out = self.target.zero()
-        for r, img in zip(g, self.generator_images):
-            out = self.target.add(out, self.target.scale(r, img))
-        return out
+        return self._apply(g)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per target coordinate, that residue of every generator image."""
+        images = self.generator_images
+        return tuple(tuple(img[i] for img in images) for i in range(self.target.rank))
+
+    def _apply(self, g: Element) -> Element:
+        """The image of g, one dot product per target coordinate."""
+        return tuple(
+            sum(map(operator.mul, g, col)) % m
+            for col, m in zip(self._columns, self.target.invariant_factors)
+        )
 
 
 def make_hom(
@@ -333,11 +343,11 @@ def product_presentation(
 def kernel_elements(phi: Homomorphism) -> list[Element]:
     """All source elements mapping to zero, in canonical order."""
     zero = phi.target.zero()
-    return [g for g in phi.source.elements() if phi(g) == zero]
+    return [g for g in phi.source.elements() if phi._apply(g) == zero]
 
 
 def image_elements(phi: Homomorphism) -> list[Element]:
-    return sorted({phi(g) for g in phi.source.elements()})
+    return sorted({phi._apply(g) for g in phi.source.elements()})
 
 
 @lru_cache(maxsize=None)
@@ -410,18 +420,46 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 _IDENTITY = bytes(range(256))
 
 
+class _PerCode(dict):
+    """A table over element codes whose entry for a code is computed by
+    ``fill(code)`` on its first lookup, and kept."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill: Callable[[int], Any]):
+        self.fill = fill  # the dict starts empty; dict.__init__ adds nothing
+
+    def __missing__(self, code: int) -> Any:
+        value = self[code] = self.fill(code)
+        return value
+
+
+def _spread(n: int, width: int) -> int:
+    """The n-bit mask with a bit at every multiple of width, which divides n.
+
+    Doubling the copies touches O(n) bits in all. The closed form
+    ``((1 << n) - 1) // ((1 << width) - 1)`` divides by a width-bit number:
+    0.55 s for n = 2**20 and width = 2**19 (2-core VM, Python 3.11.7).
+    """
+    spread = 1
+    while width < n:
+        spread |= spread << width
+        width *= 2
+    return spread & ((1 << n) - 1)
+
+
 class GroupTable:
-    """Element codes 0..|G|-1 in canonical order, with per-element tables.
+    """Element codes 0..|G|-1 in canonical order, with per-code tables.
 
     Codes are mixed-radix: the residues of an element are its digits, the
     last coordinate varying fastest, so code order is the canonical element
-    order. The constructor builds ``elements`` and ``code`` (code <->
-    element), ``neg`` and ``order`` (one entry per code) and ``rotations``
-    (at most one step per coordinate of each code; the masks of the steps
-    are shared, one pair per coordinate and digit value), so a table holds
-    O(|G|·rank) entries and builds in that time. Nothing is added after the
-    constructor: ``row(g)``, the code of x + g for every code x, is built
-    afresh on each call from the digits of g.
+    order, and ``encode``/``decode`` are that arithmetic. The constructor
+    keeps only ``coords``, one (stride, modulus, spread) per coordinate, in
+    O(|G|·rank) bits. ``neg``, ``order`` and ``rotations`` compute the entry
+    of a code on its first lookup and keep it, so a call that reads l codes
+    costs O(l·rank) steps whatever the order of the group, and the entries
+    are dropped with the table. ``row(g)``, the code of x + g for every code
+    x, is built afresh on each call from the digits of g.
 
     A subset of the group is an int bitmask over codes (bit c for element
     c). ``translate``, ``minkowski``, ``sumset`` and ``zero_sum_free`` on
@@ -436,48 +474,119 @@ class GroupTable:
     digit wraps. ``rotations[g]`` holds one (d*h, hi, (m-d)*h, lo) per
     nonzero digit of g, where hi is the set of codes whose digit there is
     >= d and lo the rest, and a mask takes the step ``(mask << d*h) & hi |
-    (mask >> (m-d)*h) & lo``.
+    (mask >> (m-d)*h) & lo``. The two masks span all |G| codes; they are
+    made once per coordinate and digit value that a lookup meets, and shared
+    by every code with that digit.
     """
 
-    __slots__ = ("group", "n", "elements", "code", "neg", "order", "rotations")
+    __slots__ = ("group", "n", "coords", "neg", "order", "rotations")
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        self.elements: tuple[Element, ...] = tuple(group.elements())
-        self.n = len(self.elements)
-        self.code: dict[Element, int] = {g: i for i, g in enumerate(self.elements)}
-        # Tables of the trivial group, then C_m + H for each modulus m from
-        # the last: code r*h + c stands for (r, c) with c a code of H. The
-        # masks of a step span all n codes, so the steps of one digit value
-        # are shared by every element that has it.
-        n = self.n
-        neg = [0]
-        order = [1]
-        rotations: list[tuple[tuple[int, int, int, int], ...]] = [()]
+        n = self.n = group.order
+        # Coordinate j has stride h, the product of the later moduli, so its
+        # digit is constant on runs of h codes and cycles in blocks of m*h;
+        # a mask of one block times spread is that mask in every block.
+        parts = []
         h = 1
         for m in reversed(group.invariant_factors):
-            neg = [(-r) % m * h + x for r in range(m) for x in neg]
-            order = [lcm(m // gcd(m, r), o) for r in range(m) for o in order]
-            # A mask of one block of m*h codes times spread is that mask in
-            # every block.
-            spread = sum(1 << b for b in range(0, n, m * h))
-            full = (1 << m * h) - 1
-            digit = [()] + [
-                ((r * h, (full >> r * h << r * h) * spread, (m - r) * h,
-                  ((1 << r * h) - 1) * spread),)
-                for r in range(1, m)
-            ]
-            rotations = [digit[r] + rot for r in range(m) for rot in rotations]
+            parts.append((h, m, _spread(n, m * h)))
             h *= m
-        self.neg = tuple(neg)
-        self.order = tuple(order)
-        self.rotations = tuple(rotations)
+        self.coords = coords = tuple(reversed(parts))
+        everything = (1 << n) - 1
+        # The step of digit d at stride h, by d*h: the d*h of the digits of
+        # one coordinate lie in [h, m*h), so d*h names the pair.
+        steps: dict[int, tuple[int, int, int, int]] = {}
+
+        # The fills close over locals, not over self, so a dropped table is
+        # freed at once, with no reference cycle left for the collector.
+
+        def neg(c: int) -> int:
+            if not 0 <= c < n:
+                raise IndexError(f"{c} is not an element code of {group}")
+            out = 0
+            for h, m, _ in coords:
+                out += -(c // h) % m * h
+            return out
+
+        def order(c: int) -> int:
+            if not 0 <= c < n:
+                raise IndexError(f"{c} is not an element code of {group}")
+            return lcm(*[m // gcd(m, c // h % m) for h, m, _ in coords])
+
+        def rotations(c: int) -> tuple[tuple[int, int, int, int], ...]:
+            if not 0 <= c < n:
+                raise IndexError(f"{c} is not an element code of {group}")
+            out = []
+            for h, m, spread in coords:
+                up = c // h % m * h
+                if up:
+                    step = steps.get(up)
+                    if step is None:
+                        lo = (spread << up) - spread
+                        step = steps[up] = (up, everything ^ lo, m * h - up, lo)
+                    out.append(step)
+            return tuple(out)
+
+        self.neg = _PerCode(neg)
+        self.order = _PerCode(order)
+        self.rotations = _PerCode(rotations)
+
+    def fill_all(self) -> None:
+        """Replace ``neg``, ``order`` and ``rotations`` by tuples over every
+        code, for callers that read every code many times (atom enumeration,
+        the unique-factorization search): a tuple indexes in about half the
+        time of a memo."""
+        if isinstance(self.rotations, tuple):
+            return
+        codes = range(self.n)
+        self.neg = tuple([self.neg[c] for c in codes])
+        self.order = tuple([self.order[c] for c in codes])
+        self.rotations = tuple([self.rotations[c] for c in codes])
 
     def encode(self, g: Element) -> int:
-        return self.code[g]
+        """The code of the element g; DomainError when g is not one."""
+        return self.encode_all((g,))[0]
+
+    def encode_all(self, elements: Sequence[Element]) -> list[int]:
+        """The code of each element, in order.
+
+        Checked a column at a time, in C loops: every element has one
+        residue per coordinate, each residue lies in [0, modulus), and the
+        codes are ints. DomainError names the first entry that is not an
+        element of the group.
+        """
+        moduli = self.group.invariant_factors
+        try:
+            if set(map(len, elements)) <= {len(moduli)}:
+                columns = list(zip(*elements))
+                if all(
+                    min(col) >= 0 and max(col) < m for col, m in zip(columns, moduli)
+                ):
+                    if not columns:
+                        return [0] * len(elements)
+                    codes = list(columns[0])
+                    for col, m in zip(columns[1:], moduli[1:]):
+                        codes = [c * m + r for c, r in zip(codes, col)]
+                    if set(map(type, codes)) <= {int}:
+                        return codes
+        except TypeError:
+            pass
+        for g in elements:
+            try:
+                valid = len(g) == len(moduli) and all(
+                    type(r) is int and 0 <= r < m for r, m in zip(g, moduli)
+                )
+            except TypeError:
+                valid = False
+            if not valid:
+                raise DomainError(f"{g!r} is not an element of {self.group}")
+        raise DomainError(f"{list(elements)!r} are not elements of {self.group}")
 
     def decode(self, c: int) -> Element:
-        return self.elements[c]
+        if not 0 <= c < self.n:
+            raise IndexError(f"{c} is not an element code of {self.group}")
+        return tuple([c // h % m for h, m, _ in self.coords])
 
     def row(self, g: int) -> bytes | list[int]:
         """The code of x + g at index x, for every code x.

@@ -209,7 +209,7 @@ def _locally_least_zero_sum_free(witness: IndexedMultiset | None) -> bool:
     if witness is None:
         return True
     table = group_table(witness.group)
-    codes = sorted(table.encode(el) for el in witness.elements())
+    codes = sorted(table.encode_all(witness.elements()))
     order, neg = table.order, table.neg
     for i, c in enumerate(codes):
         supp = table.sumset(codes[:i] + codes[i + 1 :])
@@ -317,7 +317,7 @@ def _search_invariant(
         cross_number(floor_ms) if kind == "cross" else Fraction(floor_ms.size)
     )
     floor_codes = (
-        tuple(sorted(table.encode(el) for el in floor_ms.elements()))
+        tuple(sorted(table.encode_all(floor_ms.elements())))
         if table is not None
         else ()
     )

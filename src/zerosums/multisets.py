@@ -144,10 +144,9 @@ def _group_and_elements(s: MultisetLike) -> tuple[FiniteAbelianGroup, tuple[Elem
 def sigma(s: MultisetLike) -> Element:
     """Sum of the elements with multiplicity; the empty sum is 0."""
     group, els = _group_and_elements(s)
-    out = group.zero()
-    for el in els:
-        out = group.add(out, el)
-    return out
+    if not els:
+        return group.zero()
+    return tuple(sum(col) % m for col, m in zip(zip(*els), group.invariant_factors))
 
 
 def cross_number(s: MultisetLike) -> Fraction:

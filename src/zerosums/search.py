@@ -96,6 +96,7 @@ def maximize_over_ufims(
         return SearchOutcome(floor_value, floor_witness_codes, stats)
 
     table = group_table(group)
+    table.fill_all()  # the search reads every code
     scale = group.exponent if kind == "cross" else 1
     scaled_floor = Fraction(floor_value) * scale
     if scaled_floor.denominator != 1:

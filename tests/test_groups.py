@@ -1,5 +1,8 @@
+from math import gcd
+
+import group_fold_reference as reference
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zerosums import (
     abelian_groups_of_order,
@@ -21,6 +24,7 @@ from zerosums.errors import (
     InvalidModulusError,
 )
 from zerosums.groups import (
+    abelian_groups_up_to,
     factorize,
     group_from_order_statistics,
     image_elements,
@@ -130,6 +134,32 @@ def test_hom_additivity_exhaustive_up_to_16():
                 for a in g.elements():
                     for b in g.elements():
                         assert phi(g.add(a, b)) == phi.target.add(phi(a), phi(b))
+
+
+GROUPS_TO_64 = [trivial_group()] + abelian_groups_up_to(64)
+
+
+@pytest.mark.parametrize("source", GROUPS_TO_64, ids=lambda g: g.key)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_hom_is_the_generator_fold(source, data):
+    target = data.draw(st.sampled_from(GROUPS_TO_64))
+    images = []
+    for n in source.invariant_factors:
+        # t // gcd(t, n) times anything has order dividing n in C_t.
+        images.append(
+            [
+                data.draw(st.integers(0, t - 1)) * (t // gcd(t, n)) % t
+                for t in target.invariant_factors
+            ]
+        )
+    phi = make_hom(source, target, images)
+    zero = target.zero()
+    folded = {g: reference.apply(phi, g) for g in source.elements()}
+    for g, image in folded.items():
+        assert phi(g) == image
+    assert kernel_elements(phi) == [g for g, image in folded.items() if image == zero]
+    assert image_elements(phi) == sorted(set(folded.values()))
 
 
 def test_kernel_examples():

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import group_fold_reference as reference
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zerosums import (
     IndexedMultiset,
@@ -13,8 +14,10 @@ from zerosums import (
     normalize_group,
     projection_hom,
     sigma,
+    trivial_group,
 )
 from zerosums.errors import PreconditionError, ResourceLimitError
+from zerosums.groups import abelian_groups_up_to
 from zerosums.multisets import from_lists, to_lists
 from zerosums import config
 
@@ -30,6 +33,23 @@ def test_sigma_empty_is_zero():
 def test_sigma_examples():
     assert sigma(ms([4], [[1], [3]])) == (0,)
     assert sigma(ms([2, 2], [[1, 0], [0, 1]])) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "group", [trivial_group()] + abelian_groups_up_to(64), ids=lambda g: g.key
+)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_sigma_is_the_element_fold(group, data):
+    element = st.tuples(*(st.integers(0, n - 1) for n in group.invariant_factors))
+    els = data.draw(st.lists(element, max_size=12))
+    multiset = IndexedMultiset.from_elements(
+        group, els, allow_zero=True, max_size=max(len(els), 1)
+    )
+    assert sigma(multiset) == reference.sigma(group, els)
+    labels = data.draw(st.sets(st.sampled_from(multiset.labels))) if els else ()
+    part = multiset.subset(labels)
+    assert sigma(part) == reference.sigma(group, part.elements())
 
 
 def test_cross_number_examples():

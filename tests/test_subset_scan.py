@@ -1,14 +1,16 @@
 """The subset-sum primitive of the zero-sum predicates against per-mask
 reference scans, plain set arithmetic and the pair-by-pair tables."""
 
+import re
+
 import subset_scan_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosums import config
-from zerosums.constructions import construction4_decompose
-from zerosums.errors import NotUniqueFactorizationError
+from zerosums.constructions import construction4_decompose, extremal_ufim
+from zerosums.errors import DomainError, NotUniqueFactorizationError
 from zerosums.factorization import (
     _codes,
     _peel,
@@ -107,11 +109,61 @@ def check_factorizations(ms):
 def test_tables_match_pairwise_construction(group):
     table = GroupTable(group)
     add, neg, order = reference.tables(group)
+    elements = list(group.elements())
+    # One code at a time on a fresh table, as the predicates read it.
+    for c, el in enumerate(elements):
+        assert table.encode(el) == c and table.decode(c) == el
+        assert (table.neg[c], table.order[c]) == (neg[c], order[c])
+        # translate distributes over union, so single bits decide every mask.
+        for x in range(table.n):
+            assert table.translate(1 << x, c) == 1 << add[x][c]
+    assert table.encode_all(elements) == list(range(table.n))
+    memo = table.rotations
+    table.fill_all()
     assert (table.neg, table.order) == (neg, order)
-    # translate distributes over union, so single bits decide every mask.
-    for x in range(table.n):
-        for g in range(table.n):
-            assert table.translate(1 << x, g) == 1 << add[x][g]
+    assert table.rotations == tuple(memo[c] for c in range(table.n))
+
+
+@pytest.mark.parametrize(
+    "group", [normalize_group([32768]), normalize_group([2] * 16)], ids=key
+)
+def test_large_group_fills_only_the_codes_it_reads(group):
+    # A |G|-bit mask per code would cost |G|^2 bits: 128 MiB on C_32768.
+    assert len(GroupTable(group).rotations) == 0
+    ms = extremal_ufim(group)
+    group_table.cache_clear()
+    try:
+        assert is_ufim(ms)
+        table = group_table(group)
+        distinct = set(table.encode_all(ms.elements()))
+        assert 0 < len(table.rotations) <= 2 * len(distinct)
+    finally:
+        group_table.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "moduli, element",
+    [
+        ([4], (5,)),
+        ([4], (-1,)),
+        ([4], (2.0,)),
+        ([4], (1, 0)),
+        ([4], ()),
+        ([2, 4], (0, 4)),
+        ([2, 4], (2, 1)),
+        ([2, 4], (1,)),
+    ],
+)
+def test_encode_rejects_a_non_element(moduli, element):
+    group = normalize_group(moduli)
+    message = re.escape(f"{element} is not an element of {group}")
+    with pytest.raises(DomainError, match=message):
+        GroupTable(group).encode(element)
+    # A multiset made directly skips from_elements' checks; the predicates
+    # still refuse the element instead of reading a wrong code for it.
+    ms = IndexedMultiset(group, ((0, group.element([1] * group.rank)), (1, element)))
+    with pytest.raises(DomainError, match=message):
+        is_zero_sum_free(ms)
 
 
 @pytest.mark.parametrize(
