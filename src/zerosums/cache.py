@@ -66,8 +66,9 @@ class ResultCache:
         return None
 
 
-def dump_record(record: dict) -> str:
-    """Canonical serialized form of a structured record."""
+def dump_record(record: dict | list) -> str:
+    """Canonical serialized form of a structured record, or of any JSON
+    payload the CLI prints: sorted keys, indent 2, a final newline."""
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 

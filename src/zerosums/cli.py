@@ -30,18 +30,12 @@ from .groups import (
     reduction_hom,
 )
 from .invariants import (
+    INVARIANTS,
     THEOREMS,
     Budget,
     InvariantResult,
-    K_star,
     big_cross_K,
-    d_star,
-    davenport,
     k1,
-    k1_star,
-    k_star,
-    little_cross_k,
-    n1_star,
     narkiewicz_n1,
     to_record,
     upper_bounds,
@@ -62,37 +56,11 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 EXIT_RESOURCE = 5
 
-# One table per kind of invariant, keyed by CLI name. The computed entries
-# call through this module's names, so a wrapper installed on those names
-# (perfbench/tracer.py) sees every call. Theorem ids for `verify` come from
+# The CLI names: each witnessed invariant of invariants.INVARIANTS, its
+# closed form as the name plus "star" (a catalog column shows it as "*"),
+# and the named upper bounds. Theorem ids for `verify` come from
 # invariants.THEOREMS.
-
-# Closed forms of the group; a catalog column is the name with "star" as "*".
-_FORMULAS = {
-    "Dstar": lambda g: Fraction(d_star(g)),
-    "N1star": lambda g: Fraction(n1_star(g)),
-    "Kstar": K_star,
-    "kstar": k_star,
-    "K1star": k1_star,
-}
-
-# Witnessed invariants: (compute, the config cap on the group order that
-# `catalog` obeys). D, K and k are read off the atom catalog; N1 and K1 are
-# budgeted unique-factorization searches. The cap is named, not copied, as
-# it is read when used.
-_INVARIANTS = {
-    "D": (lambda g, cache, budget: davenport(g, cache=cache), "ATOM_ORDER_CAP"),
-    "K": (lambda g, cache, budget: big_cross_K(g, cache=cache), "ATOM_ORDER_CAP"),
-    "k": (lambda g, cache, budget: little_cross_k(g, cache=cache), "ATOM_ORDER_CAP"),
-    "N1": (
-        lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
-        "SEARCH_ORDER_CAP",
-    ),
-    "K1": (
-        lambda g, cache, budget: k1(g, cache=cache, budget=budget),
-        "SEARCH_ORDER_CAP",
-    ),
-}
+_FORMULAS = {f"{name}star": spec.star for name, spec in INVARIANTS.items()}
 
 # Named upper bounds: CLI name -> key of upper_bounds().
 _BOUNDS = {
@@ -163,8 +131,8 @@ def _compute_invariant(
         return InvariantResult(
             group, name, _FORMULAS[name](group), None, SearchStats(), "formula"
         )
-    if name in _INVARIANTS:
-        return _INVARIANTS[name][0](group, cache, budget)
+    if name in INVARIANTS:
+        return INVARIANTS[name].compute(group, cache, budget)
     if name not in _BOUNDS:
         raise UsageError(f"unknown invariant {name!r}")
     value = upper_bounds(group, cache=cache)[_BOUNDS[name]]
@@ -233,7 +201,7 @@ def cmd_verify(args) -> int:
             ],
             "all_passed": report.all_passed,
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dump_record(payload))
     else:
         print(render_family_report(report))
     return EXIT_OK if report.all_passed else EXIT_VERIFY
@@ -280,7 +248,7 @@ def cmd_decompose(args) -> int:
             }
             for r in rows
         ]
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dump_record(payload))
     else:
         d = decomposition.to_lists()
         print(f"kernel part  {d['kernel_part']['elements']}")
@@ -306,15 +274,14 @@ def cmd_catalog(args) -> int:
     any_incomplete = False
     for group in abelian_groups_up_to(args.max_order):
         row: dict = {"group": group.key}
-        for name, formula in _FORMULAS.items():
-            row[name.replace("star", "*")] = format_value(formula(group))
         row["K1 gap"] = "-"
         provenances = set()
-        for name, (compute, cap) in _INVARIANTS.items():
-            if group.order > getattr(config, cap):
+        for name, spec in INVARIANTS.items():
+            row[f"{name}*"] = format_value(spec.star(group))
+            if group.order > getattr(config, spec.cap):
                 row[name] = "-"
                 continue
-            res = compute(group, cache, budget)
+            res = spec.compute(group, cache, budget)
             provenances.add(res.provenance)
             if not res.complete:
                 row[name] = f">={format_value(res.value)} (incomplete)"
@@ -322,13 +289,13 @@ def cmd_catalog(args) -> int:
                 continue
             row[name] = format_value(res.value)
             if name == "K1":
-                row["K1 gap"] = format_value(res.value - k1_star(group))
+                row["K1 gap"] = format_value(res.value - spec.star(group))
         row["provenance"] = (
             "cached" if provenances == {"cached"} else "computed"
         )
         rows.append(row)
     if args.format == "json":
-        sys.stdout.write(json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(dump_record(rows))
     else:
         if rows:
             print(render_catalog_table(rows))
@@ -348,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=int, default=None)
         p.add_argument("--budget-seconds", type=float, default=None)
         p.add_argument("--max-size", type=int, default=None,
-                       help="multiset size cap (bitmask width)")
+                       help="size cap on multisets built from element lists "
+                       "or unions, and on zero-sum-subset listings")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility and ignored; "
                        "searches run on one thread")
@@ -362,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("-g", "--group", required=True,
                        help="comma-separated moduli, e.g. 4,2 or 2^2,3")
     p_inv.add_argument("-i", "--invariant", required=True,
-                       help=" ".join([*_INVARIANTS, *_FORMULAS, *_BOUNDS]))
+                       help=" ".join([*INVARIANTS, *_FORMULAS, *_BOUNDS]))
     p_inv.add_argument("--witness", action="store_true")
     common(p_inv)
     p_inv.set_defaults(func=cmd_invariant)

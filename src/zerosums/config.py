@@ -3,7 +3,8 @@
 Values are module level so tests and the CLI can adjust them in place.
 """
 
-# Index labels of one multiset must fit a fixed-width bitmask.
+# Largest multiset built by disjoint_union or by IndexedMultiset.from_elements
+# without max_size, and largest one whose zero-sum subsets are listed.
 MAX_MULTISET_SIZE = 40
 
 # Verification mode cross-checks is_ufim against the intersection-closure

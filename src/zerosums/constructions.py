@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from . import formulas
 from .errors import DomainError, PreconditionError, ResourceLimitError
@@ -21,7 +22,6 @@ from .groups import (
     factorize,
     group_table,
     is_prime,
-    kernel_elements,
     masks_with_sum,
     normalize_group,
     product_presentation,
@@ -49,48 +49,39 @@ def _gao_wang_values(p: int, m: int) -> list[int]:
 
 def gao_wang_extremal(p: int, m: int) -> IndexedMultiset:
     """The tower multiset over C_{p^m}: p-1 copies of each power of p plus
-    one balancing element per level. Unique factorization and cross number
-    equal to the closed-form value are asserted."""
+    one balancing element per level (``extremal_ufim`` of C_{p^m}). Unique
+    factorization and cross number equal to the closed-form value are
+    asserted."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if m < 1:
         raise DomainError(f"exponent must be positive, got {m}")
-    group = normalize_group([p**m])
-    values = _gao_wang_values(p, m)
-    ms = IndexedMultiset.from_elements(
-        group, [[v] for v in values], max_size=len(values)
-    )
-    assert is_ufim(ms), f"tower over C_{p}^{m} is not a UFIM"
-    expected = formulas.k1_star(group)
-    got = cross_number(ms)
-    assert got == expected, f"tower cross number {got} != {expected}"
-    return ms
+    return extremal_ufim(normalize_group([p**m]))
 
 
-def _primary_slots(group: FiniteAbelianGroup) -> list[tuple[int, int, int]]:
-    """(p, e, coordinate) for each prime-power component of the group."""
-    out = []
+def _componentwise(
+    group: FiniteAbelianGroup, values: Callable[[int, int], list[int]]
+) -> IndexedMultiset:
+    """For each prime-power component C_{p^e}, the residues values(p, e)
+    times the component's generator, on its invariant factor's coordinate."""
+    elements: list[Element] = []
     for j, n in enumerate(group.invariant_factors):
         for p, e in sorted(factorize(n).items()):
-            out.append((p, e, j))
-    return out
+            gen = n // p**e
+            for v in values(p, e):
+                el = [0] * group.rank
+                el[j] = v * gen % n
+                elements.append(tuple(el))
+    return IndexedMultiset.from_elements(group, elements, max_size=len(elements))
 
 
 def extremal_zero_sum_free(group: FiniteAbelianGroup) -> IndexedMultiset:
     """Zero-sum-free multiset attaining the closed-form maximum.
 
-    Per component C_{p^e}: p-1 copies of each power of p, embedded on that
-    component's coordinate.
+    Per component C_{p^e}: p-1 copies of each power of p, the tower of
+    ``extremal_ufim`` without its balancing elements.
     """
-    elements: list[Element] = []
-    for p, e, j in _primary_slots(group):
-        nj = group.invariant_factors[j]
-        gen = nj // p**e
-        for i in range(1, e + 1):
-            el = [0] * group.rank
-            el[j] = p ** (i - 1) * gen % nj
-            elements.extend([tuple(el)] * (p - 1))
-    ms = IndexedMultiset.from_elements(group, elements, max_size=len(elements))
+    ms = _componentwise(group, lambda p, e: _gao_wang_values(p, e)[: (p - 1) * e])
     assert is_zero_sum_free(ms), f"witness over {group} is not zero-sum free"
     expected = formulas.k_star(group)
     got = cross_number(ms)
@@ -104,15 +95,7 @@ def extremal_ufim(group: FiniteAbelianGroup) -> IndexedMultiset:
     Attains the closed-form unique-factorization maximum, which makes it the
     standard incumbent seed for exact searches.
     """
-    elements: list[Element] = []
-    for p, e, j in _primary_slots(group):
-        nj = group.invariant_factors[j]
-        gen = nj // p**e
-        for v in _gao_wang_values(p, e):
-            el = [0] * group.rank
-            el[j] = v * gen % nj
-            elements.append(tuple(el))
-    ms = IndexedMultiset.from_elements(group, elements, max_size=len(elements))
+    ms = _componentwise(group, _gao_wang_values)
     assert is_ufim(ms), f"componentwise tower over {group} is not a UFIM"
     expected = formulas.k1_star(group)
     got = cross_number(ms)
@@ -248,11 +231,14 @@ def construction4_decompose(
     def mask_codes(mask: int) -> list[int]:
         return [codes[i] for i in range(l) if mask >> i & 1]
 
-    kernel_codes = table.encode_all([g for g in kernel_elements(phi) if any(g)])
+    # Each distinct subset sum is mapped once, not every element of G.
+    kernel_sums = [
+        s for s in set(sums) if s and phi._apply(table.decode(s)) == zero_t
+    ]
     candidates = sorted(
         mask
-        for g in kernel_codes
-        for mask in masks_with_sum(sums, g)
+        for s in kernel_sums
+        for mask in masks_with_sum(sums, s)
         if table.zero_sum_free(mask_codes(mask))
     )
 

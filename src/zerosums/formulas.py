@@ -37,13 +37,11 @@ def n1_star(group: FiniteAbelianGroup) -> int:
 
 
 def K_star(group: FiniteAbelianGroup) -> Fraction:
-    """Conjectured maximum cross number over minimal zero-sum multisets."""
+    """Conjectured maximum cross number over minimal zero-sum multisets:
+    k*(G) + 1/exp(G)."""
     if group.is_trivial:
         return Fraction(0)
-    total = Fraction(1, group.exponent)
-    for p, e in group.primary_components:
-        total += Fraction(p**e - 1, p**e)
-    return total
+    return k_star(group) + Fraction(1, group.exponent)
 
 
 def k_star(group: FiniteAbelianGroup) -> Fraction:

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 from . import config, constructions
 from .atoms import (
@@ -21,7 +21,7 @@ from .atoms import (
     max_zero_sum_free_cross,
     scaled_crosses,
 )
-from .cache import ResultCache
+from .cache import FORMAT_VERSION, ResultCache
 from .errors import (
     ConstraintInapplicableError,
     DomainError,
@@ -29,7 +29,12 @@ from .errors import (
     ResourceLimitError,
     ZerosumsError,
 )
-from .factorization import is_ufim, unique_factorization
+from .factorization import (
+    is_minimal_zero_sum,
+    is_ufim,
+    is_zero_sum_free,
+    unique_factorization,
+)
 from .formulas import K_star, d_star, k1_star, k_star, n1_star
 from .groups import (
     FiniteAbelianGroup,
@@ -50,7 +55,9 @@ __all__ = [
     "Budget",
     "ConstraintCheck",
     "FamilyReport",
+    "INVARIANTS",
     "InstanceCheck",
+    "Invariant",
     "InvariantResult",
     "K_star",
     "THEOREMS",
@@ -76,14 +83,51 @@ __all__ = [
     "verify_family",
 ]
 
-RECORD_VERSION = 1
 
-# Invariants whose results carry a witness reproducing the value.
-_WITNESSED = ("D", "N1", "K", "k", "K1")
+class Invariant(NamedTuple):
+    """One witnessed invariant: ``compute(group, cache, budget)``, the name
+    of the config cap on the group order it obeys, the predicate ``holds``
+    that its witnesses satisfy, the ``measure`` it maximizes, and ``star``,
+    its closed form. The closed form is a proven lower bound: a construction
+    attains it, so a smaller value is wrong. ``compute`` and ``holds`` call
+    through module-level names, so a wrapper installed on those names
+    (perfbench/tracer.py) sees every call."""
 
-# Proven lower bounds of the cached invariants: each is attained by a
-# construction, so a smaller cached value is wrong.
-_LOWER_BOUNDS = {"D": d_star, "N1": n1_star, "K": K_star, "k": k_star, "K1": k1_star}
+    compute: Callable[..., InvariantResult]
+    cap: str
+    holds: Callable[[IndexedMultiset], bool]
+    measure: Literal["size", "cross"]
+    star: Callable[[FiniteAbelianGroup], Fraction]
+
+    def measure_of(self, ms: IndexedMultiset) -> Fraction:
+        return cross_number(ms) if self.measure == "cross" else Fraction(ms.size)
+
+
+# The witnessed invariants by CLI name, in catalog order. D, K and k are read
+# off the atom catalog; N1 and K1 are budgeted unique-factorization searches.
+INVARIANTS = {
+    "D": Invariant(
+        lambda g, cache, budget: davenport(g, cache=cache), "ATOM_ORDER_CAP",
+        lambda w: is_minimal_zero_sum(w), "size", lambda g: Fraction(d_star(g)),
+    ),
+    "K": Invariant(
+        lambda g, cache, budget: big_cross_K(g, cache=cache), "ATOM_ORDER_CAP",
+        lambda w: is_minimal_zero_sum(w), "cross", K_star,
+    ),
+    "k": Invariant(
+        lambda g, cache, budget: little_cross_k(g, cache=cache), "ATOM_ORDER_CAP",
+        lambda w: is_zero_sum_free(w), "cross", k_star,
+    ),
+    "N1": Invariant(
+        lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
+        "SEARCH_ORDER_CAP", lambda w: is_ufim(w), "size",
+        lambda g: Fraction(n1_star(g)),
+    ),
+    "K1": Invariant(
+        lambda g, cache, budget: k1(g, cache=cache, budget=budget),
+        "SEARCH_ORDER_CAP", lambda w: is_ufim(w), "cross", k1_star,
+    ),
+}
 
 
 @dataclass
@@ -99,33 +143,24 @@ class InvariantResult:
     def verify(self) -> bool:
         """Recompute the witness's defining predicate and measure.
 
-        A D, N1, K, k or K1 result without a witness stands for the empty
-        one, so it verifies only with value 0. Other results carry no
+        A result of an ``INVARIANTS`` entry without a witness stands for the
+        empty one, so it verifies only with value 0. Other results carry no
         witness to check.
         """
-        from .factorization import is_minimal_zero_sum, is_zero_sum_free
-
-        if self.witness is None:
-            return self.invariant not in _WITNESSED or self.value == 0
+        spec = INVARIANTS.get(self.invariant)
+        if spec is None:
+            return True
         w = self.witness
-        if self.invariant == "D":
-            return is_minimal_zero_sum(w) and Fraction(w.size) == self.value
-        if self.invariant == "N1":
-            return is_ufim(w) and Fraction(w.size) == self.value
-        if self.invariant == "K":
-            return is_minimal_zero_sum(w) and cross_number(w) == self.value
-        if self.invariant == "k":
-            return is_zero_sum_free(w) and cross_number(w) == self.value
-        if self.invariant == "K1":
-            return is_ufim(w) and cross_number(w) == self.value
-        return True
+        if w is None:
+            return self.value == 0
+        return spec.holds(w) and spec.measure_of(w) == self.value
 
 
 def to_record(result: InvariantResult) -> dict:
     """Structured record, format version 1."""
     v = result.value
     return {
-        "version": RECORD_VERSION,
+        "version": FORMAT_VERSION,
         "group_key": result.group.key,
         "invariant": result.invariant,
         "value": f"{v.numerator}/{v.denominator}",
@@ -140,7 +175,7 @@ def to_record(result: InvariantResult) -> dict:
 
 
 def from_record(group: FiniteAbelianGroup, record: dict) -> InvariantResult:
-    if record.get("version") != RECORD_VERSION:
+    if record.get("version") != FORMAT_VERSION:
         raise DomainError(f"unsupported record version {record.get('version')}")
     if record["group_key"] != group.key:
         raise DomainError("record belongs to a different group")
@@ -179,7 +214,7 @@ def _cached(
         result = from_record(group, record)
         valid = (
             result.invariant == invariant
-            and result.value >= _LOWER_BOUNDS[invariant](group)
+            and result.value >= INVARIANTS[invariant].star(group)
             and result.verify()
             and (invariant != "k" or _locally_least_zero_sum_free(result.witness))
         )
@@ -300,30 +335,22 @@ def _largest_zero_sum_free_cross(group: FiniteAbelianGroup) -> tuple:
 def _search_invariant(
     group: FiniteAbelianGroup, invariant: str, budget: Budget | None
 ) -> tuple:
-    """Branch-and-bound search for K1 or N1, seeded with a construction."""
+    """Branch-and-bound search for K1 or N1, seeded with a construction that
+    attains its closed form: the tower for K1, generator repeats for N1."""
     if group.order > config.SEARCH_ORDER_CAP:
         raise ResourceLimitError(
             f"group order {group.order} exceeds the search cap "
             f"{config.SEARCH_ORDER_CAP}"
         )
-    table = group_table(group) if not group.is_trivial else None
-    if invariant == "K1":
-        floor_ms = constructions.extremal_ufim(group)
-        kind = "cross"
+    spec = INVARIANTS[invariant]
+    if spec.measure == "cross":
+        seed = constructions.extremal_ufim(group)
     else:
-        floor_ms = constructions.generator_repeat_union(group)
-        kind = "size"
-    floor_value = (
-        cross_number(floor_ms) if kind == "cross" else Fraction(floor_ms.size)
-    )
-    floor_codes = (
-        tuple(sorted(table.encode_all(floor_ms.elements())))
-        if table is not None
-        else ()
-    )
+        seed = constructions.generator_repeat_union(group)
+    floor_codes = tuple(sorted(group_table(group).encode_all(seed.elements())))
     catalog = atom_catalog(group)
     outcome = maximize_over_ufims(
-        group, catalog, kind, floor_value, floor_codes, budget=budget
+        group, catalog, spec.measure, spec.measure_of(seed), floor_codes, budget=budget
     )
     return (
         outcome.value,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariants import FamilyReport, InvariantResult
+from .invariants import INVARIANTS, FamilyReport, InvariantResult
 from .multisets import to_lists
 
 
@@ -52,10 +52,15 @@ def render_family_report(report: FamilyReport) -> str:
 
 
 def render_catalog_table(rows: list[dict]) -> str:
-    columns = [
-        "group", "D", "D*", "N1", "N1*", "K", "K*", "k", "k*",
-        "K1", "K1*", "K1 gap", "provenance",
+    # Each invariant beside its closed form: the sizes, then the cross numbers.
+    names = [
+        name
+        for measure in ("size", "cross")
+        for name, spec in INVARIANTS.items()
+        if spec.measure == measure
     ]
+    columns = ["group", *(c for n in names for c in (n, f"{n}*"))]
+    columns += ["K1 gap", "provenance"]
     table = [columns]
     for row in rows:
         table.append([str(row[c]) for c in columns])

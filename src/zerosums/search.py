@@ -11,8 +11,9 @@ in P (A is minimal). So A crosses a block boundary exactly when supp(S)
 meets P: one AND against the atom's mask in ``AtomCatalog.sums``, which the
 enumeration records, so the search keeps no per-atom tables or memo of its
 own. The support itself is updated only on accepted nodes. Pruning uses the
-product bound (block sizes multiply to at most |G|), the block-count bound,
-and an optimistic value bound against the incumbent. Measures are integers,
+product bound (block sizes multiply to at most |G|, which also bounds the
+number of blocks still to come, as each has at least 2 elements) and an
+optimistic value bound against the incumbent. Measures are integers,
 cross numbers scaled by exp(G) (``atoms.scaled_crosses``); the value becomes
 a Fraction once, in the outcome.
 
@@ -109,7 +110,6 @@ def maximize_over_ufims(
     measures = lengths if kind == "size" else scaled_crosses(catalog)
     count = len(codes)
     minkowski = table.minkowski
-    m_cap = n.bit_length() - 1
     suffix_max = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
         suffix_max[i] = max(measures[i], suffix_max[i + 1])
@@ -120,8 +120,8 @@ def maximize_over_ufims(
     nodes = crossing = product = bound = 0
     chosen: list[int] = []
 
-    def accept(j: int, m: int, prod: int, value: int, supp: int):
-        """Take atom j as block m + 1 and search the extensions."""
+    def accept(j: int, prod: int, value: int, supp: int):
+        """Take atom j as the next block and search the extensions."""
         nonlocal inc_value, inc_witness
         block = codes[j]
         chosen.extend(block)
@@ -131,12 +131,14 @@ def maximize_over_ufims(
             if value > inc_value or witness < inc_witness:
                 inc_value = value
                 inc_witness = witness
-        dfs(j, m + 1, prod * lengths[j], value, minkowski(supp, block))
+        dfs(j, prod * lengths[j], value, minkowski(supp, block))
         del chosen[-len(block) :]
 
-    def dfs(min_idx: int, m: int, prod: int, value: int, supp: int):
+    def dfs(min_idx: int, prod: int, value: int, supp: int):
         nonlocal nodes, crossing, product, bound
-        slots = min(m_cap - m, (n // prod).bit_length() - 1)
+        # Blocks left room for: each has at least 2 elements, and the sizes
+        # of all blocks multiply to at most |G|.
+        slots = (n // prod).bit_length() - 1
         if slots <= 0:
             return
         if value + slots * suffix_max[min_idx] < inc_value:
@@ -152,14 +154,14 @@ def maximize_over_ufims(
             if supp & crossers[j]:
                 crossing += 1
                 continue
-            accept(j, m, prod, value, supp)
+            accept(j, prod, value, supp)
 
     for first in range(count):
         inc_value, inc_witness = floor, floor_witness
         try:
             spend()
             nodes += 1  # a single atom always has unique factorization
-            accept(first, 0, 1, 0, 1)
+            accept(first, 1, 0, 1)
         except _BudgetHit:
             stats.complete = False
         if inc_value > best_value or (

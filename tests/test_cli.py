@@ -401,7 +401,7 @@ def _option_help(command: str, dest: str) -> str:
 
 def test_invariant_help_lists_the_registry(capsys):
     names = _option_help("invariant", "invariant").split()
-    registry = [*cli._INVARIANTS, *cli._FORMULAS, *cli._BOUNDS]
+    registry = [*cli.INVARIANTS, *cli._FORMULAS, *cli._BOUNDS]
     assert sorted(names) == sorted(registry)
     for name in names:
         assert run(capsys, "invariant", "-g", "2,2", "-i", name)[0] == 0
@@ -435,7 +435,7 @@ def test_catalog_and_invariant_agree(tmp_path, capsys):
     rows = json.loads(out)
     columns = {
         **{name.replace("star", "*"): name for name in cli._FORMULAS},
-        **{name: name for name in cli._INVARIANTS},
+        **{name: name for name in cli.INVARIANTS},
     }
     assert len(rows) == 10
     for row in rows:

@@ -26,7 +26,7 @@ from zerosums import (
     sigma,
 )
 from zerosums.errors import DomainError, PreconditionError
-from zerosums.groups import group_table, is_prime, kernel_elements
+from zerosums.groups import Homomorphism, group_table, is_prime, kernel_elements
 
 
 def G(*moduli):
@@ -213,6 +213,27 @@ def test_decompose_deterministic():
     assert d1.packing == d2.packing
     assert sorted(d1.packing[0].elements()) == [(1,), (1,), (1,)]
     assert d1.kernel_part.labels == d2.kernel_part.labels
+
+
+def test_decompose_maps_each_subset_sum_once(monkeypatch):
+    # 32 entries over C_2^16, of which 2 lie outside the kernel: the cost
+    # follows the entries and their subset sums, not the 65,536 elements.
+    group = G(*[2] * 16)
+    ms = extremal_ufim(group)
+    phi = projection_hom(group, 0)
+    rest = [el for el in ms.elements() if any(phi(el))]
+    original = Homomorphism._apply
+    calls = 0
+
+    def counting(self, g):
+        nonlocal calls
+        calls += 1
+        return original(self, g)
+
+    monkeypatch.setattr(Homomorphism, "_apply", counting)
+    d = construction4_decompose(ms, phi)
+    assert d.t == 0 and d.residue.size == len(rest) == 2
+    assert calls <= ms.size + 2 ** len(rest) + len(rest)
 
 
 def test_phiunique_consequence_examples():

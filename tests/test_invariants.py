@@ -41,7 +41,7 @@ from zerosums.errors import (
     ResourceLimitError,
 )
 from zerosums.groups import group_table, is_prime
-from zerosums.invariants import InvariantResult, from_record, to_record
+from zerosums.invariants import INVARIANTS, InvariantResult, from_record, to_record
 from zerosums.logbounds import LogBound
 
 
@@ -118,6 +118,17 @@ def test_witnesses_verify():
         for func in (davenport, big_cross_K, little_cross_k, narkiewicz_n1, k1):
             result = func(group)
             assert result.verify(), (group.key, result.invariant)
+
+
+@pytest.mark.parametrize("name", list(INVARIANTS))
+def test_table_entries_bound_and_verify_their_results(name):
+    spec = INVARIANTS[name]
+    for group in [g for n in range(1, 13) for g in abelian_groups_of_order(n)]:
+        result = spec.compute(group, None, None)
+        assert spec.star(group) <= result.value, (name, group.key)
+        assert result.verify(), (name, group.key)
+        result.value += Fraction(1, group.exponent)
+        assert not result.verify(), (name, group.key)
 
 
 def test_trivial_group_invariants_are_zero():
