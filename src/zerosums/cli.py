@@ -12,6 +12,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from .invariants import (
     THEOREMS,
     Budget,
     InvariantResult,
+    _log_bounds,
     big_cross_K,
     k1,
     narkiewicz_n1,
@@ -135,7 +137,9 @@ def _compute_invariant(
         return INVARIANTS[name].compute(group, cache, budget)
     if name not in _BOUNDS:
         raise UsageError(f"unknown invariant {name!r}")
-    value = upper_bounds(group, cache=cache)[_BOUNDS[name]]
+    # The log bounds are closed forms; only the other two need k, a search.
+    key, logs = _BOUNDS[name], _log_bounds(group)
+    value = logs[key] if key in logs else upper_bounds(group, cache=cache)[key]
     rational = value if isinstance(value, Fraction) else value.upper_rational()
     return InvariantResult(group, name, rational, None, SearchStats(), "formula")
 
@@ -189,16 +193,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "theorem": report.theorem,
-            "instances": [
-                {
-                    "label": i.label,
-                    "lhs": i.lhs,
-                    "rhs": i.rhs,
-                    "passed": i.passed,
-                    "note": i.note,
-                }
-                for i in report.instances
-            ],
+            "instances": [asdict(i) for i in report.instances],
             "all_passed": report.all_passed,
         }
         sys.stdout.write(dump_record(payload))

@@ -176,6 +176,14 @@ class DecompositionResult:
     def t(self) -> int:
         return len(self.packing)
 
+    @property
+    def lifted(self) -> IndexedMultiset:
+        """The kernel part plus the sum of each packed subset, over G."""
+        elements = list(self.kernel_part.elements()) + [sigma(p) for p in self.packing]
+        return IndexedMultiset.from_elements(
+            self.multiset.group, elements, max_size=len(elements)
+        )
+
     def to_lists(self) -> dict:
         def subset_lists(sub: IndexSubset) -> dict:
             labels = sorted(sub.labels)
@@ -279,19 +287,15 @@ def construction4_decompose(
 
 
 def _assert_decomposition_consequences(d: DecompositionResult) -> None:
-    group = d.multiset.group
     residue_ms = d.residue.submultiset()
     if residue_ms.size:
         assert is_ufim(residue_ms), "residue does not factor uniquely"
         image = apply_hom(d.hom, residue_ms)
         assert not image.has_zero, "residue image touches zero"
         assert is_ufim(image), "residue image does not factor uniquely"
-    lifted = list(d.kernel_part.elements()) + [sigma(p) for p in d.packing]
-    if lifted:
-        lifted_ms = IndexedMultiset.from_elements(
-            group, lifted, max_size=len(lifted)
-        )
-        assert is_ufim(lifted_ms), "kernel part plus packing sums not unique"
+    lifted = d.lifted
+    if lifted.size:
+        assert is_ufim(lifted), "kernel part plus packing sums not unique"
 
 
 def phiunique_consequences(
@@ -311,25 +315,9 @@ def phiunique_consequences(
     k1_quot = part_invariants["K1_quotient"]
     K_quot = part_invariants["K_quotient"]
 
-    packed = (
-        frozenset().union(*(p.labels for p in d.packing))
-        if d.packing
-        else frozenset()
-    )
-    s_prime = IndexSubset(ms, d.residue.labels | packed)
-    group = ms.group
-    lifted = list(d.kernel_part.elements()) + [sigma(p) for p in d.packing]
-    lifted_cross = sum(
-        (Fraction(1, group.element_order(e)) for e in lifted), Fraction(0)
-    )
-    phi_s_prime = [d.hom(e) for e in s_prime.elements()]
-    phi_cross = sum(
-        (
-            Fraction(1, d.hom.target.element_order(e))
-            for e in phi_s_prime
-        ),
-        Fraction(0),
-    )
+    s_prime = d.kernel_part.complement()
+    lifted_cross = cross_number(d.lifted)
+    phi_cross = cross_number(apply_hom(d.hom, s_prime.submultiset()))
     k_s = cross_number(ms)
     k_s_prime = cross_number(s_prime)
 

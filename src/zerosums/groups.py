@@ -1,9 +1,9 @@
 """Finite abelian groups in invariant-factor coordinates.
 
-A group is stored by its invariant factors n1 | n2 | ... | nr together with
-the matching prime-power decomposition. Elements are residue tuples against
-the invariant-factor moduli; the lexicographic order on residue tuples is the
-canonical element order used everywhere downstream.
+A group is stored by its invariant factors n1 | n2 | ... | nr alone; its
+prime-power decomposition is computed from them on first use. Elements are
+residue tuples against the invariant-factor moduli; the lexicographic order on
+residue tuples is the canonical element order used everywhere downstream.
 """
 
 from __future__ import annotations
@@ -52,56 +52,31 @@ def prime_stats(n: int) -> tuple[int, int, int]:
     return ps[0], ps[-1], len(ps)
 
 
-def _invariant_factors_from_primary(
-    parts: Iterable[tuple[int, int]],
-) -> tuple[int, ...]:
-    """Recombine prime-power components into a divisibility chain."""
-    exps: dict[int, list[int]] = {}
-    for p, e in parts:
-        exps.setdefault(p, []).append(e)
-    for v in exps.values():
-        v.sort(reverse=True)
-    width = max((len(v) for v in exps.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for p in sorted(exps):
-            es = exps[p]
-            if i < len(es):
-                f *= p ** es[i]
-        factors.append(f)
-    factors.reverse()
-    return tuple(factors)
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
-    """A finite abelian group carrying both canonical presentations.
+    """A finite abelian group by its invariant factors n1 | n2 | ... | nr.
 
     The empty invariant-factor tuple represents the trivial group.
     """
 
     invariant_factors: tuple[int, ...]
-    primary_components: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         fs = self.invariant_factors
-        if fs and fs[0] < 2:
+        if min(fs, default=2) < 2:
             raise InvalidModulusError(f"invariant factors must exceed 1, got {fs}")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise InvalidModulusError(
                     f"invariant factors must form a divisibility chain, got {fs}"
                 )
-        expected: list[tuple[int, int]] = []
-        for n in fs:
-            expected.extend(factorize(n).items())
-        if tuple(sorted(expected)) != self.primary_components:
-            raise InvalidModulusError(
-                "primary components do not match the invariant factors"
-            )
-        if _invariant_factors_from_primary(self.primary_components) != fs:
-            raise InvalidModulusError("presentations describe different groups")
+
+    @cached_property
+    def primary_components(self) -> tuple[tuple[int, int], ...]:
+        """The prime powers (p, e) of the invariant factors, sorted."""
+        return tuple(
+            sorted(pe for n in self.invariant_factors for pe in factorize(n).items())
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -187,17 +162,25 @@ def normalize_group(moduli: Iterable[int]) -> FiniteAbelianGroup:
     Any two inputs with the same multiset of prime-power factors yield an
     identical value; the empty list gives the trivial group.
     """
-    parts: list[tuple[int, int]] = []
+    exps: dict[int, list[int]] = {}
     for m in moduli:
         if m < 2:
             raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-        parts.extend(factorize(m).items())
-    primary = tuple(sorted(parts))
-    return FiniteAbelianGroup(_invariant_factors_from_primary(primary), primary)
+        for p, e in factorize(m).items():
+            exps.setdefault(p, []).append(e)
+    # The i-th largest exponent of each prime goes into the i-th largest factor.
+    for es in exps.values():
+        es.sort(reverse=True)
+    width = max(map(len, exps.values()), default=0)
+    factors = [
+        prod(p ** es[i] for p, es in exps.items() if i < len(es))
+        for i in range(width)
+    ]
+    return FiniteAbelianGroup(tuple(reversed(factors)))
 
 
 def trivial_group() -> FiniteAbelianGroup:
-    return FiniteAbelianGroup((), ())
+    return FiniteAbelianGroup(())
 
 
 # -- homomorphisms ----------------------------------------------------------
@@ -284,17 +267,10 @@ def reduction_hom(group: FiniteAbelianGroup, moduli: Sequence[int]) -> Homomorph
             raise IllDefinedHomomorphismError(
                 f"reduction modulus {d} does not divide {n}"
             )
-    kept = [d for d in moduli if d > 1]
-    target, gen_images = product_presentation(kept)
-    images = []
-    pos = 0
-    for d in moduli:
-        if d > 1:
-            images.append(gen_images[pos])
-            pos += 1
-        else:
-            images.append(target.zero())
-    return Homomorphism(group, target, tuple(images))
+    target, gen_images = product_presentation([d for d in moduli if d > 1])
+    kept = iter(gen_images)
+    images = tuple(next(kept) if d > 1 else target.zero() for d in moduli)
+    return Homomorphism(group, target, images)
 
 
 def product_presentation(
@@ -306,33 +282,20 @@ def product_presentation(
     image in N of that factor's generator; the combined map is an isomorphism.
     """
     group = normalize_group(moduli)
-    # Slot each prime power of the target: exponents per prime, largest first.
-    slots: dict[int, list[tuple[int, int]]] = {}
+    # The coordinates of N holding each prime power (p, e), ascending; each
+    # prime power of an input modulus takes the first one still free.
+    free: dict[tuple[int, int], list[int]] = {}
     for j, n in enumerate(group.invariant_factors):
-        for p, e in factorize(n).items():
-            slots.setdefault(p, []).append((-e, j))
-    for v in slots.values():
-        v.sort()
-    # Rank the input parts the same way, so equal exponents pair up.
-    inputs: dict[int, list[tuple[int, int]]] = {}
-    for t, m in enumerate(moduli):
-        for p, a in factorize(m).items():
-            inputs.setdefault(p, []).append((-a, t))
-    coordinate_of: dict[tuple[int, int], int] = {}
-    for p, parts in inputs.items():
-        parts.sort()
-        for k, (neg_a, t) in enumerate(parts):
-            neg_e, j = slots[p][k]
-            if neg_e != neg_a:
-                raise DomainError("prime-power slot mismatch")  # unreachable
-            coordinate_of[(t, p)] = j
+        for pe in factorize(n).items():
+            free.setdefault(pe, []).append(j)
     images = []
-    for t, m in enumerate(moduli):
+    for m in moduli:
         coords = [0] * group.rank
-        for p, a in sorted(factorize(m).items()):
-            j = coordinate_of[(t, p)]
-            nj = group.invariant_factors[j]
-            coords[j] = (coords[j] + nj // p**a) % nj
+        for p, a in factorize(m).items():
+            j = free[p, a].pop(0)
+            n = group.invariant_factors[j]
+            # Two primes of one modulus may share a coordinate (C_6 -> C_6).
+            coords[j] = (coords[j] + n // p**a) % n
         images.append(tuple(coords))
     return group, tuple(images)
 
@@ -375,19 +338,14 @@ def quotient_structure(phi: Homomorphism) -> FiniteAbelianGroup:
     return group_from_order_statistics([phi.target.element_order(g) for g in img])
 
 
-def _partitions(k: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing partitions of k."""
+def _partitions(k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Non-increasing partitions of k into parts of at most largest (k)."""
     if k == 0:
         yield ()
         return
-    def rec(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(k, k)
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
 
 
 def abelian_groups_of_order(n: int) -> list[FiniteAbelianGroup]:

@@ -396,6 +396,20 @@ def narkiewicz_n1(
 # -- bounds --------------------------------------------------------------------
 
 
+def _log_bounds(group: FiniteAbelianGroup) -> dict[str, LogBound]:
+    """The two closed-form log bounds of ``upper_bounds``, from |G| and its
+    primes alone: they need no search, at any order."""
+    if group.is_trivial:
+        return {"gao_wang_log": LogBound.of(0), "asymptote_gap": LogBound.of(0)}
+    order = group.order
+    p_minus, p_plus, _ = prime_stats(order)
+    exp_count = sum(e for _, e in group.primary_components)
+    return {
+        "gao_wang_log": LogBound.ln(order) + LogBound.log2(order, Fraction(1, p_minus)),
+        "asymptote_gap": LogBound.log2(p_plus, Fraction(exp_count, p_minus)),
+    }
+
+
 def upper_bounds(
     group: FiniteAbelianGroup,
     precomputed: dict[str, Fraction] | None = None,
@@ -403,51 +417,36 @@ def upper_bounds(
     cache: ResultCache | None = None,
 ) -> dict[str, Fraction | LogBound]:
     """Named bounds around K1 and K; log terms stay certified, not rounded."""
+    logs = _log_bounds(group)
     if group.is_trivial:
-        zero = Fraction(0)
-        return {
-            "girard_two_little_k": zero,
-            "gao_wang_log": LogBound.of(zero),
-            "little_k_plus_inv_exponent": zero,
-            "asymptote_gap": LogBound.of(zero),
-        }
-    vals = dict(precomputed or {})
-    if "k" not in vals:
-        vals["k"] = little_cross_k(group, cache=cache).value
-    order = group.order
-    p_minus, p_plus, _ = prime_stats(order)
-    exp_count = sum(e for _, e in group.primary_components)
+        k = inv_exponent = Fraction(0)
+    else:
+        vals = dict(precomputed or {})
+        k = vals["k"] if "k" in vals else little_cross_k(group, cache=cache).value
+        inv_exponent = Fraction(1, group.exponent)
     return {
-        "girard_two_little_k": 2 * vals["k"],
-        "gao_wang_log": LogBound.ln(order) + LogBound.log2(order, Fraction(1, p_minus)),
-        "little_k_plus_inv_exponent": vals["k"] + Fraction(1, group.exponent),
-        "asymptote_gap": LogBound.log2(p_plus, Fraction(exp_count, p_minus)),
+        "girard_two_little_k": 2 * k,
+        "gao_wang_log": logs["gao_wang_log"],
+        "little_k_plus_inv_exponent": k + inv_exponent,
+        "asymptote_gap": logs["asymptote_gap"],
     }
 
 
 def quotient_bound(
     group: FiniteAbelianGroup,
     phi: Homomorphism,
-    invariants_of_parts: dict[str, Fraction] | None = None,
     *,
     cache: ResultCache | None = None,
 ) -> Fraction:
     """K1(quotient) + N1(kernel) * K(quotient), an upper bound for K1(group)."""
     if phi.source != group:
         raise DomainError("homomorphism source does not match the group")
-    vals = dict(invariants_of_parts or {})
     ker = kernel_structure(phi)
     quot = quotient_structure(phi)
-    k1_quot = vals.get("K1_quotient")
-    if k1_quot is None:
-        k1_quot = k1(quot, cache=cache).value
-    n1_ker = vals.get("N1_kernel")
-    if n1_ker is None:
-        n1_ker = narkiewicz_n1(ker, cache=cache).value
-    K_quot = vals.get("K_quotient")
-    if K_quot is None:
-        K_quot = big_cross_K(quot, cache=cache).value
-    return k1_quot + n1_ker * K_quot
+    return (
+        k1(quot, cache=cache).value
+        + narkiewicz_n1(ker, cache=cache).value * big_cross_K(quot, cache=cache).value
+    )
 
 
 def size_limit_threshold(group: FiniteAbelianGroup) -> Fraction:

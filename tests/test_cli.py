@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zerosums import cli, config
+from zerosums import cli, config, invariants
 from zerosums.atoms import clear_catalog_memory
 from zerosums.cache import ResultCache, open_cache
 from zerosums.cli import build_parser, main
@@ -71,6 +71,23 @@ def test_invariant_bound(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == "3/2"
+
+
+@pytest.mark.parametrize("spec", ["2,32", "128"])
+def test_log_bounds_need_no_search(monkeypatch, capsys, spec):
+    # Past the atom caps: the two log bounds are closed forms in |G| and its
+    # primes, so they are answered without computing k.
+    def no_search(*args, **kwargs):
+        raise AssertionError("little_cross_k was called")
+
+    monkeypatch.setattr(invariants, "little_cross_k", no_search)
+    group = cli.parse_group_spec(spec)
+    bounds = invariants.upper_bounds(group, {"k": Fraction(0)})
+    for name in ("bound:gaowang-log", "bound:asymptote-gap"):
+        code, out, _ = run(capsys, "invariant", "-g", spec, "-i", name, "--format", "json")
+        assert code == 0
+        value = Fraction(json.loads(out)["value"])
+        assert value == bounds[cli._BOUNDS[name]].upper_rational()
 
 
 def test_exit_code_usage_errors(capsys):

@@ -24,6 +24,7 @@ from zerosums.errors import (
     InvalidModulusError,
 )
 from zerosums.groups import (
+    FiniteAbelianGroup,
     abelian_groups_up_to,
     factorize,
     group_from_order_statistics,
@@ -47,6 +48,14 @@ def test_normalize_divisibility_chain_sort():
     g = normalize_group([4, 2])
     assert g.invariant_factors == (2, 4)
     assert g.primary_components == ((2, 1), (2, 2))
+    assert FiniteAbelianGroup((2, 4)) == g
+    assert FiniteAbelianGroup((2, 4)).primary_components == ((2, 1), (2, 2))
+
+
+@pytest.mark.parametrize("factors", [(4, 2), (1, 2), (2, 3), (2, 0)])
+def test_group_rejects_factors_that_are_not_a_chain_above_1(factors):
+    with pytest.raises(InvalidModulusError):
+        FiniteAbelianGroup(factors)
 
 
 def test_normalize_rejects_small_moduli():
@@ -210,7 +219,7 @@ def test_abelian_groups_of_order_counts():
 
 
 def test_product_presentation_is_isomorphism():
-    for moduli in ([2, 3], [4, 2], [6, 2], [2, 2, 3], [4, 6]):
+    for moduli in ([2, 3], [4, 2], [6, 2], [2, 2, 3], [4, 6], [12, 18, 2], [6, 10, 15]):
         target, images = product_presentation(moduli)
         seen = set()
         # Enumerate the full product and map elementwise.
@@ -221,3 +230,18 @@ def test_product_presentation_is_isomorphism():
                 acc = target.add(acc, target.scale(r, img))
             seen.add(acc)
         assert len(seen) == target.order
+
+
+@pytest.mark.parametrize(
+    "moduli, key, images",
+    [
+        ([4, 6], "2x12", ((0, 3), (1, 4))),
+        ([12, 18, 2], "2x6x36", ((0, 2, 9), (1, 0, 4), (0, 3, 0))),
+        ([6, 10, 15], "30x30", ((25, 0), (6, 15), (0, 16))),
+    ],
+)
+def test_product_presentation_pins_its_images(moduli, key, images):
+    # Within one prime power, inputs take the target's coordinates in
+    # ascending order; two primes of one modulus may share a coordinate.
+    target, got = product_presentation(moduli)
+    assert (target.key, got) == (key, images)
