@@ -223,14 +223,26 @@ def cmd_decompose(args) -> int:
     cache = open_cache(args.cache_dir)
     ker = kernel_structure(phi)
     quot = quotient_structure(phi)
+
+    def known(name: str, compute, group) -> Fraction | None:
+        """The invariant, or None (with a note) when it is past a cap."""
+        try:
+            return compute(group, cache=cache).value
+        except ResourceLimitError as exc:
+            print(f"note: {name} not computed: {exc}", file=sys.stderr)
+            return None
+
     parts = {
-        "K1_kernel": k1(ker, cache=cache).value,
-        "N1_kernel": narkiewicz_n1(ker, cache=cache).value,
-        "K1_quotient": k1(quot, cache=cache).value,
-        "K_quotient": big_cross_K(quot, cache=cache).value,
+        "K1_kernel": known("K1 of the kernel", k1, ker),
+        "N1_kernel": known("N1 of the kernel", narkiewicz_n1, ker),
+        "K1_quotient": known("K1 of the quotient", k1, quot),
+        "K_quotient": known("K of the quotient", big_cross_K, quot),
     }
     rows = phiunique_consequences(decomposition, parts)
-    ok = all(r["passed"] for r in rows)
+    ok = all(r["passed"] is not False for r in rows)
+
+    def rhs(row: dict) -> str:
+        return "-" if row["rhs"] is None else format_value(row["rhs"])
     if args.format == "json":
         payload = decomposition.to_lists()
         payload["consequences"] = [
@@ -238,7 +250,7 @@ def cmd_decompose(args) -> int:
                 "item": r["item"],
                 "statement": r["statement"],
                 "lhs": format_value(r["lhs"]),
-                "rhs": format_value(r["rhs"]),
+                "rhs": rhs(r),
                 "passed": r["passed"],
             }
             for r in rows
@@ -252,10 +264,10 @@ def cmd_decompose(args) -> int:
             print(f"  {sub['elements']}")
         print(f"residue      {d['residue']['elements']}")
         for r in rows:
-            mark = "pass" if r["passed"] else "FAIL"
+            mark = {True: "pass", False: "FAIL", None: "-"}[r["passed"]]
             print(
                 f"  [{mark}] ({r['item']}) {r['statement']}: "
-                f"{format_value(r['lhs'])} <= {format_value(r['rhs'])}"
+                f"{format_value(r['lhs'])} <= {rhs(r)}"
             )
     return EXIT_OK if ok else EXIT_VERIFY
 

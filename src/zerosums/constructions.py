@@ -300,13 +300,14 @@ def _assert_decomposition_consequences(d: DecompositionResult) -> None:
 
 def phiunique_consequences(
     decomposition: DecompositionResult,
-    part_invariants: dict[str, Fraction],
+    part_invariants: dict[str, Fraction | None],
 ) -> list[dict]:
     """Evaluate the kernel-split inequalities on a concrete decomposition.
 
     part_invariants must provide K1_kernel, N1_kernel, K1_quotient and
-    K_quotient as exact values. Returns one record per inequality with both
-    sides and a pass flag.
+    K_quotient as exact values, or None for a value not known. Returns one
+    record per inequality with both sides and a pass flag; a row whose right
+    side needs an unknown value has rhs and passed None.
     """
     d = decomposition
     ms = d.multiset
@@ -321,36 +322,39 @@ def phiunique_consequences(
     k_s = cross_number(ms)
     k_s_prime = cross_number(s_prime)
 
+    def total(*terms: Fraction | None) -> Fraction | None:
+        return None if None in terms else sum(terms, Fraction(0))
+
     rows = [
         {
             "item": 1,
             "statement": "cross(kernel part + packing sums) <= K1(kernel)",
             "lhs": lifted_cross,
-            "rhs": k1_ker,
+            "rhs": total(k1_ker),
         },
         {
             "item": 2,
             "statement": "|kernel part| + t <= N1(kernel)",
             "lhs": Fraction(d.kernel_part.size + d.t),
-            "rhs": Fraction(n1_ker),
+            "rhs": total(n1_ker),
         },
         {
             "item": 3,
             "statement": "cross(S) <= K1(kernel) + cross(S')",
             "lhs": k_s,
-            "rhs": k1_ker + k_s_prime,
+            "rhs": total(k1_ker, k_s_prime),
         },
         {
             "item": 4,
             "statement": "cross(S) <= K1(kernel) + cross(phi(S'))",
             "lhs": k_s,
-            "rhs": k1_ker + phi_cross,
+            "rhs": total(k1_ker, phi_cross),
         },
         {
             "item": 5,
             "statement": "cross(phi(S')) <= K1(quotient) + t*K(quotient)",
             "lhs": phi_cross,
-            "rhs": k1_quot + d.t * K_quot,
+            "rhs": total(k1_quot, None if K_quot is None else d.t * K_quot),
         },
     ]
     if d.t == 0:
@@ -359,9 +363,9 @@ def phiunique_consequences(
                 "item": 7,
                 "statement": "t=0: cross(S) <= K1(kernel) + K1(quotient)",
                 "lhs": k_s,
-                "rhs": k1_ker + k1_quot,
+                "rhs": total(k1_ker, k1_quot),
             }
         )
     for row in rows:
-        row["passed"] = row["lhs"] <= row["rhs"]
+        row["passed"] = None if row["rhs"] is None else row["lhs"] <= row["rhs"]
     return rows

@@ -3,11 +3,13 @@
 Every subset scan runs on the ``GroupTable`` subset-sum primitive:
 
 * Membership tests read supports. S is zero-sum free exactly when no
-  s_i has -s_i among the subset sums of s_1..s_{i-1}
-  (``GroupTable.zero_sum_free``), and a zero-sum S is minimal exactly when
-  S without its last element is zero-sum free (a proper zero-sum subset or
-  its complement misses that element). Both cost O(l * rank(G))
-  shift-and-mask steps on |G|-bit masks at every size l.
+  s_i has 0 in supp + s_i, supp the subset sums of s_1..s_{i-1}
+  (``GroupTable.zero_sum_free``; as supp holds the empty sum 0, this is
+  -s_i in supp, and supp + s_i is what the next support adds), and a
+  zero-sum S is minimal exactly when S without its last element is zero-sum
+  free (a proper zero-sum subset or its complement misses that element).
+  Both cost O(l * rank(G)) shift-and-mask steps on |G|-bit masks at every
+  size l, and read no negation.
 * Subset listings meet in the middle: ``GroupTable.subset_sums`` gives the
   sum of every subset of each half, indexed by mask, and a zero-sum subset
   joins a subset of the first half with one of the second half of the
@@ -16,14 +18,18 @@ Every subset scan runs on the ``GroupTable`` subset-sum primitive:
 
 ``is_ufim`` decides unique factorization at every size in O(l^2 * rank(G))
 such steps, so no input is refused for its size. It peels one factorization:
-the first s_i with -s_i a subset sum of the zero-sum-free prefix before it
-closes a block (walk the prefix supports back to pick the summands), which
+the first s_i with 0 in (the zero-sum-free prefix before it) + s_i closes a
+block (walk the prefix supports back from -s_i to pick the summands), which
 is minimal because that prefix is zero-sum free; remove it and repeat. Then
 it tests crossings, as ``search.maximize_over_ufims`` does: if
 B_1..B_{j-1} factor uniquely, adding the atom B_j keeps that unless some
-subset sum of B_1..B_{j-1} lies in the nonzero subset sums of B_j. In a
+subset sum x != 0 of B_1..B_{j-1} lies in the subset sums of B_j. In a
 unique-factorization multiset every zero-sum subsequence is a union of
-blocks, so a crossing at any step refutes uniqueness. Counting
+blocks, so a crossing at any step refutes uniqueness. It also gives
+``unique_factorization`` its second witness at any size: T from the earlier
+blocks and U from B_j both sum to x, so T with B_j minus U is zero-sum, holds
+part of B_j but not all of it, and peeling it and its complement gives a
+factorization without the block B_j. Counting
 factorizations (the definition) and the closure of the zero-sum subsets
 under intersection (the classical characterization) stay as independent
 oracles; verification mode checks ``is_ufim`` against the latter up to
@@ -32,7 +38,6 @@ oracles; verification mode checks ``is_ufim`` against the latter up to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -44,7 +49,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .groups import group_table, masks_with_sum
-from .multisets import IndexedMultiset, IndexSubset, sigma
+from .multisets import IndexedMultiset, IndexSubset, element_sum, sigma
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,26 @@ class Factorization:
 # -- low-level mask helpers --------------------------------------------------
 
 
-def _codes(ms: IndexedMultiset) -> tuple[list[int], list[int], "object"]:
-    """Sorted labels, element codes per position, and the group table."""
-    table = group_table(ms.group)
-    labels = sorted(ms.labels)
-    entry = ms.entries
-    codes = table.encode_all([entry[l] for l in labels])
-    return labels, codes, table
+def _codes(
+    ms: IndexedMultiset, require_zero_sum: str | None = None
+) -> tuple[tuple[int, ...], list[int], "object"]:
+    """Labels in order, element codes per position, and the group table.
+
+    One read of ``ms.items``, which holds the entries in label order. With
+    require_zero_sum, the name of the caller's test, PreconditionError is
+    raised first unless ms is a zero-sum multiset over G\\{0}.
+    """
+    labels, elements = tuple(zip(*ms.items)) or ((), ())
+    group = ms.group
+    if require_zero_sum:
+        if group.zero() in elements:
+            raise PreconditionError(
+                f"{require_zero_sum} requires a multiset over G\\{{0}}"
+            )
+        if element_sum(group, elements) != group.zero():
+            raise PreconditionError(f"{require_zero_sum} requires a zero-sum multiset")
+    table = group_table(group)
+    return labels, table.encode_all(elements), table
 
 
 def _zero_sum_masks_mitm(codes: Sequence[int], table, cap: int) -> list[int]:
@@ -107,10 +125,10 @@ def _zero_sum_masks_mitm(codes: Sequence[int], table, cap: int) -> list[int]:
 
 
 def _zero_sum_masks(
-    ms: IndexedMultiset,
-) -> tuple[list[int], list[int], list[int], "object"]:
-    """(sorted labels, their codes, zero-sum masks ascending, group table)."""
-    labels, codes, table = _codes(ms)
+    ms: IndexedMultiset, require_zero_sum: str | None = None
+) -> tuple[tuple[int, ...], list[int], list[int], "object"]:
+    """(labels, their codes, zero-sum masks ascending, group table)."""
+    labels, codes, table = _codes(ms, require_zero_sum)
     if len(codes) > config.MAX_MULTISET_SIZE:
         raise ResourceLimitError(
             f"multiset size {len(codes)} exceeds cap {config.MAX_MULTISET_SIZE}"
@@ -141,26 +159,46 @@ def _minimal_masks(zs_masks: Sequence[int], codes: Sequence[int], table) -> list
 # -- unique factorization by peeling ----------------------------------------
 
 
-def _peel(codes: Sequence[int], table) -> tuple[list[list[int]], bool]:
-    """One factorization of the zero-sum sequence codes into minimal blocks
-    (ascending positions, in peel order), and whether it is the only one."""
+def _walk_back(t: int, supps: Sequence[int], codes: Sequence[int],
+               positions: Sequence[int], table) -> list[int]:
+    """Indices k, descending, of codes at positions[k] that sum to t.
+
+    supps[k] holds the subset sums of the codes at positions[:k], and t is in
+    the last of them: an element is taken when t is not a sum of the ones
+    before it, and t drops by its code.
+    """
     neg, translate = table.neg, table.translate
+    picked = []
+    for k in range(len(supps) - 2, -1, -1):
+        if not supps[k] >> t & 1:
+            picked.append(k)
+            t = translate(1 << t, neg[codes[positions[k]]]).bit_length() - 1
+    return picked
+
+
+def _peel(
+    codes: Sequence[int], table
+) -> tuple[list[list[int]], tuple[int, int] | None]:
+    """One factorization of the zero-sum sequence codes into minimal blocks
+    (ascending positions, in peel order), and its first crossing: (j, x)
+    with x a nonzero subset sum of both block j and the blocks before it,
+    or None when the factorization is the only one."""
+    rotations = table.rotations
     rest = list(range(len(codes)))  # positions not in a block yet
     supps = [1]  # supps[k]: subset sums of the codes at rest[:k]
     blocks: list[list[int]] = []
     i = 0
     while i < len(rest):
-        supp, c = supps[i], codes[rest[i]]
-        t = neg[c]
-        if not supp >> t & 1:
-            supps.append(supp | translate(supp, c))
+        supp = m = supps[i]
+        c = codes[rest[i]]
+        for up, hi, down, lo in rotations[c]:
+            m = (m << up) & hi | (m >> down) & lo
+        # m is supp + c, which holds 0 exactly when -c is in supp.
+        if not m & 1:
+            supps.append(supp | m)
             i += 1
             continue
-        picked = [i]
-        for k in range(i - 1, -1, -1):
-            if not supps[k] >> t & 1:
-                picked.append(k)
-                t = translate(1 << t, neg[codes[rest[k]]]).bit_length() - 1
+        picked = [i] + _walk_back(table.neg[c], supps, codes, rest, table)
         blocks.append([rest[k] for k in reversed(picked)])
         for k in picked:
             del rest[k]
@@ -169,11 +207,44 @@ def _peel(codes: Sequence[int], table) -> tuple[list[list[int]], bool]:
     supp, last = 1, len(blocks) - 1
     for j, block in enumerate(blocks):
         block_codes = [codes[p] for p in block]
-        if j and supp & table.sumset(block_codes) & ~1:
-            return blocks, False
+        if j:
+            crossing = supp & table.sumset(block_codes) & ~1
+            if crossing:
+                return blocks, (j, crossing.bit_length() - 1)
         if j < last:
             supp = table.minkowski(supp, block_codes)
-    return blocks, True
+    return blocks, None
+
+
+def _subsequence_with_sum(
+    t: int, positions: Sequence[int], codes: Sequence[int], table
+) -> list[int]:
+    """Positions, from positions, whose codes sum to t (a subset sum of them)."""
+    supps = [1]
+    for p in positions:
+        supps.append(supps[-1] | table.translate(supps[-1], codes[p]))
+    return [positions[k] for k in _walk_back(t, supps, codes, positions, table)]
+
+
+def _second_factorization(
+    codes: Sequence[int], blocks: list[list[int]], crossing: tuple[int, int], table
+) -> list[list[int]]:
+    """A factorization with no block equal to block j of the crossing (j, x).
+
+    T, from the blocks before j, and U, from block j, both sum to x; so T
+    with the rest of block j is zero-sum and so is its complement, and
+    neither holds all of block j (U is proper and nonempty, as x is not 0).
+    Peeling the two gives the factorization.
+    """
+    j, x = crossing
+    earlier = [p for block in blocks[:j] for p in block]
+    zero_sum = set(_subsequence_with_sum(x, earlier, codes, table))
+    zero_sum |= set(blocks[j]) - set(_subsequence_with_sum(x, blocks[j], codes, table))
+    out = []
+    for part in (sorted(zero_sum), [p for p in range(len(codes)) if p not in zero_sum]):
+        sub_blocks, _ = _peel([codes[p] for p in part], table)
+        out += [[part[k] for k in block] for block in sub_blocks]
+    return out
 
 
 # -- predicates ---------------------------------------------------------------
@@ -185,19 +256,13 @@ def is_zero_sum(s: IndexedMultiset | IndexSubset) -> bool:
     return sigma(s) == s.group.zero()
 
 
-def _require_zero_sum(ms: IndexedMultiset, what: str) -> None:
-    if ms.has_zero:
-        raise PreconditionError(f"{what} requires a multiset over G\\{{0}}")
-    if not is_zero_sum(ms):
-        raise PreconditionError(f"{what} requires a zero-sum multiset")
-
-
 def is_minimal_zero_sum(ms: IndexedMultiset) -> bool:
     """Zero-sum with no proper nonempty zero-sum subset; the empty set is not."""
-    if ms.size == 0 or not is_zero_sum(ms):
+    elements = [el for _, el in ms.items]
+    if not elements or element_sum(ms.group, elements) != ms.group.zero():
         return False
-    _, codes, table = _codes(ms)
-    return table.zero_sum_free(codes[:-1])
+    table = group_table(ms.group)
+    return table.zero_sum_free(table.encode_all(elements)[:-1])
 
 
 def is_zero_sum_free(ms: IndexedMultiset) -> bool:
@@ -220,8 +285,7 @@ def zero_sum_subsets(ms: IndexedMultiset) -> list[IndexSubset]:
 
 
 def _factorization_context(ms: IndexedMultiset):
-    _require_zero_sum(ms, "factorization")
-    labels, codes, masks, table = _zero_sum_masks(ms)
+    labels, codes, masks, table = _zero_sum_masks(ms, "factorization")
     return labels, _minimal_masks(masks, codes, table)
 
 
@@ -258,8 +322,7 @@ def count_factorizations(ms: IndexedMultiset, cap: int | None = None) -> int:
 
 def is_ufim_by_intersection(ms: IndexedMultiset) -> bool:
     """Unique factorization via closure of zero-sum subsets under intersection."""
-    _require_zero_sum(ms, "unique-factorization test")
-    masks = _zero_sum_masks(ms)[2]
+    masks = _zero_sum_masks(ms, "unique-factorization test")[2]
     present = set(masks)
     for i in range(len(masks)):
         a = masks[i]
@@ -277,11 +340,10 @@ def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
     intersection-closure characterization up to ``config.DIRECT_SCAN_LIMIT``
     elements.
     """
-    _require_zero_sum(ms, "unique-factorization test")
+    _, codes, table = _codes(ms, "unique-factorization test")
     if verify is None:
         verify = config.VERIFICATION_MODE
-    _, codes, table = _codes(ms)
-    answer = _peel(codes, table)[1]
+    answer = _peel(codes, table)[1] is None
     if verify and ms.size <= config.DIRECT_SCAN_LIMIT:
         other = is_ufim_by_intersection(ms)
         if other != answer:
@@ -293,27 +355,24 @@ def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
 
 
 def unique_factorization(ms: IndexedMultiset) -> Factorization:
-    """The single irreducible factorization; raises with two witnesses otherwise."""
-    _require_zero_sum(ms, "factorization")
-    labels, codes, table = _codes(ms)
-    blocks, unique = _peel(codes, table)
-    if unique:
+    """The single irreducible factorization; raises with two witnesses otherwise.
+
+    The witnesses are the peeled factorization and, from its first
+    crossing, one with no block equal to the crossed block; both are found
+    at every size.
+    """
+    labels, codes, table = _codes(ms, "factorization")
+    blocks, crossing = _peel(codes, table)
+
+    def factorization(blocks: list[list[int]]) -> Factorization:
         return Factorization(
             ms, frozenset(frozenset(labels[p] for p in b) for b in blocks)
         )
-    labels, minimal = _factorization_context(ms)
 
-    def to_blocks(masks: tuple[int, ...]) -> frozenset[frozenset[int]]:
-        return frozenset(
-            frozenset(labels[i] for i in range(len(labels)) if m >> i & 1)
-            for m in masks
-        )
-
-    first, second = itertools.islice(
-        _iter_block_partitions(minimal, (1 << len(labels)) - 1), 2
-    )
+    if crossing is None:
+        return factorization(blocks)
     raise NotUniqueFactorizationError(
         f"{ms!r} admits several irreducible factorizations",
-        first=Factorization(ms, to_blocks(first)),
-        second=Factorization(ms, to_blocks(second)),
+        first=factorization(blocks),
+        second=factorization(_second_factorization(codes, blocks, crossing, table)),
     )

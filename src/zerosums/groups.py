@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -319,12 +320,41 @@ def order_statistics(group: FiniteAbelianGroup) -> tuple[int, ...]:
 
 
 def group_from_order_statistics(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Recover a finite abelian group from the multiset of element orders."""
+    """Recover a finite abelian group from the multiset of element orders.
+
+    For a prime p, the elements of order dividing p^i form a subgroup of
+    p^(sum over the invariant factors of min(i, e)) elements, e the exponent
+    of p in the factor; so the logs of consecutive counts differ by the
+    number of factors with e >= i, which gives the exponents. The one
+    candidate so read is checked against the orders given.
+    """
     stats = tuple(sorted(orders))
-    for cand in abelian_groups_of_order(len(stats)):
-        if order_statistics(cand) == stats:
-            return cand
-    raise DomainError("order statistics do not match any abelian group")
+    n = len(stats)
+    if n < 1:
+        raise DomainError(f"order must be positive, got {n}")
+    counts = Counter(stats)
+    mismatch = "order statistics do not match any abelian group"
+    moduli = []
+    for p, a in factorize(n).items():
+        at_least = []  # at_least[i - 1]: factors with exponent >= i
+        below = 0
+        for i in range(1, a + 1):
+            size = sum(c for o, c in counts.items() if o > 0 and p**i % o == 0)
+            log = 0
+            while size > 1 and size % p == 0:
+                size //= p
+                log += 1
+            if size != 1:
+                raise DomainError(mismatch)
+            at_least.append(log - below)
+            below = log
+        moduli += [
+            p ** sum(r >= k for r in at_least) for k in range(1, at_least[0] + 1)
+        ]
+    cand = normalize_group(moduli)
+    if order_statistics(cand) != stats:
+        raise DomainError(mismatch)
+    return cand
 
 
 def kernel_structure(phi: Homomorphism) -> FiniteAbelianGroup:
@@ -588,15 +618,21 @@ class GroupTable:
         """Whether no nonempty subsequence of codes sums to 0.
 
         A zero-sum subsequence T exists exactly when, for the last s_i in T,
-        -s_i is a subset sum of s_1..s_{i-1}; so one pass over the prefix
-        supports decides it, rank(G) shift-and-mask steps per element.
+        0 is in supp + s_i, where supp holds the subset sums of
+        s_1..s_{i-1}; so one pass over the prefix supports decides it,
+        rank(G) shift-and-mask steps per element. supp + s_i is also the
+        next support's new part, and supp holds the empty sum 0, so the test
+        is the same as -s_i in supp and reads no ``neg`` entry.
         """
-        neg, translate = self.neg, self.translate
+        rotations = self.rotations
         supp = 1
         for g in codes:
-            if supp >> neg[g] & 1:
+            m = supp
+            for up, hi, down, lo in rotations[g]:
+                m = (m << up) & hi | (m >> down) & lo
+            if m & 1:
                 return False
-            supp |= translate(supp, g)
+            supp |= m
         return True
 
     def subset_sums(self, codes: Sequence[int]) -> bytes | list[int]:

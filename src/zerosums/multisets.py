@@ -143,10 +143,16 @@ def _group_and_elements(s: MultisetLike) -> tuple[FiniteAbelianGroup, tuple[Elem
 
 def sigma(s: MultisetLike) -> Element:
     """Sum of the elements with multiplicity; the empty sum is 0."""
-    group, els = _group_and_elements(s)
-    if not els:
+    return element_sum(*_group_and_elements(s))
+
+
+def element_sum(group: FiniteAbelianGroup, elements: Sequence[Element]) -> Element:
+    """Sum of a sequence of elements, one column at a time; the empty sum is 0."""
+    if not elements:
         return group.zero()
-    return tuple(sum(col) % m for col, m in zip(zip(*els), group.invariant_factors))
+    return tuple(
+        sum(col) % m for col, m in zip(zip(*elements), group.invariant_factors)
+    )
 
 
 def cross_number(s: MultisetLike) -> Fraction:

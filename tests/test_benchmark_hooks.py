@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import zerosums
 from zerosums import atoms, config, groups
 from zerosums.multisets import IndexedMultiset
 
@@ -43,6 +44,30 @@ def test_every_traced_name_resolves(module, attr):
         assert method in vars(cls), f"{cls_name}.{method} is not defined on the class"
     else:
         assert callable(getattr(owner, attr))
+
+
+def _library_names(script: str) -> list[str]:
+    """Every name read as ``zs.<name>`` in a benchmark script, where the
+    script imports the package as zs."""
+    tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+    imports = [
+        alias for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert any(a.name == "zerosums" and a.asname == "zs" for a in imports), script
+    return sorted({
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "zs"
+    })
+
+
+@pytest.mark.parametrize(
+    "script, name",
+    [(s, n) for s in ("predicates.py", "inproc.py") for n in _library_names(s)],
+)
+def test_every_library_name_the_benchmark_calls_resolves(script, name):
+    assert hasattr(zerosums, name), f"{script} calls zs.{name}"
 
 
 def test_memo_clearers_exist():

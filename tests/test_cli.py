@@ -9,6 +9,7 @@ from zerosums import cli, config, invariants
 from zerosums.atoms import clear_catalog_memory
 from zerosums.cache import ResultCache, open_cache
 from zerosums.cli import build_parser, main
+from zerosums.constructions import extremal_ufim
 from zerosums.groups import normalize_group
 from zerosums.invariants import THEOREMS
 
@@ -188,6 +189,31 @@ def test_decompose_command(tmp_path, capsys):
     assert data["t"] == 0
     assert data["kernel_part"]["elements"] == [[2], [2]]
     assert all(row["passed"] for row in data["consequences"])
+
+
+def test_decompose_prints_rows_whose_invariants_are_past_a_cap(tmp_path, capsys):
+    # The kernel of proj:0 on C_2^6 has order 32, past the search cap, so
+    # every row that needs K1 or N1 of the kernel has no right side.
+    group = normalize_group([2] * 6)
+    elements = [list(e) for e in extremal_ufim(group).elements()]
+    path = tmp_path / "ms.json"
+    path.write_text(json.dumps({"group": "2,2,2,2,2,2", "elements": elements}))
+    code, out, err = run(
+        capsys, "decompose", "--multiset", str(path), "--hom", "proj:0",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["consequences"]
+    assert [(r["item"], r["passed"], r["rhs"]) for r in rows] == [
+        (1, None, "-"), (2, None, "-"), (3, None, "-"), (4, None, "-"),
+        (5, True, "1"), (7, None, "-"),
+    ]
+    assert "exceeds the search cap" in err
+    code, out, _ = run(
+        capsys, "decompose", "--multiset", str(path), "--hom", "proj:0"
+    )
+    assert code == 0
+    assert "[-] (1)" in out and "[pass] (5)" in out
 
 
 GOOD_MULTISET = '{"group": "4", "elements": [[1], [3]]}'

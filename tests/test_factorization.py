@@ -20,7 +20,7 @@ from zerosums import (
     unique_factorization,
     zero_sum_subsets,
 )
-from zerosums.errors import NotUniqueFactorizationError, PreconditionError
+from zerosums.errors import DomainError, NotUniqueFactorizationError, PreconditionError
 from zerosums.factorization import _codes, _peel
 from ufim_vector_reference import ufim_by_multiplicity
 
@@ -196,7 +196,7 @@ def test_oracle_equivalence_small_exhaustive():
                 by_count = count_factorizations(s, cap=2) == 1
                 by_intersection = is_ufim_by_intersection(s)
                 by_vectors = ufim_by_multiplicity(s) if combo else True
-                by_peel = _peel(*_codes(s)[1:])[1]
+                by_peel = _peel(*_codes(s)[1:])[1] is None
                 assert by_count == by_intersection == by_vectors == by_peel, combo
 
 
@@ -286,3 +286,29 @@ def test_factor_product_and_count_bounds():
         order = s.group.order
         assert prod(len(b) for b in blocks) <= order
         assert 2 ** len(blocks) <= order  # block count below log2 of the order
+
+
+@pytest.mark.parametrize(
+    "moduli, items, ufim_error, minimal",
+    [
+        # 0 is present: that precondition comes first.
+        ([4], ((0, (4,)), (1, (0,))), PreconditionError, DomainError),
+        # A short entry: its truncated sum is not 0, which comes first.
+        ([2, 4], ((0, (1, 1)), (1, (1,))), PreconditionError, False),
+        # Zero-sum, but (5,) is not an element.
+        ([4], ((0, (5,)), (1, (3,))), DomainError, DomainError),
+    ],
+)
+def test_preconditions_come_before_the_element_check(moduli, items, ufim_error, minimal):
+    # Made directly, so from_elements' checks are skipped.
+    s = IndexedMultiset(normalize_group(moduli), items)
+    with pytest.raises(DomainError):
+        is_zero_sum_free(s)
+    for test in (is_ufim, unique_factorization):
+        with pytest.raises(ufim_error):
+            test(s)
+    if minimal is False:
+        assert is_minimal_zero_sum(s) is False
+    else:
+        with pytest.raises(minimal):
+            is_minimal_zero_sum(s)

@@ -1,6 +1,7 @@
 from math import gcd
 
 import group_fold_reference as reference
+import order_scan_reference
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +31,7 @@ from zerosums.groups import (
     group_from_order_statistics,
     image_elements,
     is_prime,
+    order_statistics,
     product_presentation,
 )
 
@@ -207,6 +209,26 @@ def test_group_from_order_statistics_distinguishes():
     c4, c22 = normalize_group([4]), normalize_group([2, 2])
     assert group_from_order_statistics([1, 2, 4, 4]) == c4
     assert group_from_order_statistics([1, 2, 2, 2]) == c22
+
+
+@pytest.mark.parametrize(
+    "group", [trivial_group()] + abelian_groups_up_to(64), ids=lambda g: g.key
+)
+def test_group_from_order_statistics_matches_the_candidate_scan(group):
+    stats = order_statistics(group)
+    assert group_from_order_statistics(stats) == group
+    assert order_scan_reference.group_from_order_statistics(stats) == group
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[], [2, 2], [1, 1], [1, 3], [1, 2, 2, 4], [1, 2, 3, 6, 6, 6], [1, 0], [0]],
+)
+def test_group_from_order_statistics_rejects_orders_of_no_group(orders):
+    with pytest.raises(DomainError):
+        order_scan_reference.group_from_order_statistics(orders)
+    with pytest.raises(DomainError):
+        group_from_order_statistics(orders)
 
 
 def test_abelian_groups_of_order_counts():

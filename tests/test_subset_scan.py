@@ -3,6 +3,7 @@ reference scans, plain set arithmetic and the pair-by-pair tables."""
 
 import re
 
+import peel_reference
 import subset_scan_reference as reference
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from zerosums.groups import (
 from zerosums.multisets import IndexedMultiset
 
 GROUPS_TO_16 = abelian_groups_up_to(16)
+GROUPS_TO_64 = abelian_groups_up_to(64)
 # Above 256 elements, subset_sums returns a list instead of bytes.
 BIG = normalize_group([2, 150])
 # Exactly 256 elements: the largest group on the bytes branch.
@@ -91,15 +93,16 @@ def check_subsets(ms):
 
 
 def check_factorizations(ms):
-    found = reference.partitions(ms, 2)
-    assert count_factorizations(ms, cap=2) == len(found)
+    found = reference.partitions(ms)
+    assert count_factorizations(ms, cap=2) == min(len(found), 2)
     assert is_ufim(ms) is (len(found) == 1)
     if len(found) == 1:
         assert unique_factorization(ms).blocks == found[0]
     else:
         with pytest.raises(NotUniqueFactorizationError) as err:
             unique_factorization(ms)
-        assert [err.value.first.blocks, err.value.second.blocks] == found
+        first, second = err.value.first.blocks, err.value.second.blocks
+        assert first != second and first in found and second in found
 
 
 # -- tables -----------------------------------------------------------------
@@ -250,13 +253,46 @@ def test_factorizations_match_reference(group, data):
 def test_peeled_blocks_factor_the_multiset(group, data):
     ms = data.draw(multisets(group, 8, nonzero=True, closed=True))
     labels, codes, table = _codes(ms)
-    blocks, unique = _peel(codes, table)
+    blocks, crossing = _peel(codes, table)
+    unique = crossing is None
     assert sorted(p for block in blocks for p in block) == list(range(ms.size))
     for block in blocks:
         part = ms.submultiset(labels[p] for p in block)
         assert reference.is_minimal_zero_sum(part)
     assert unique is reference.is_ufim(ms)
     assert is_ufim(ms) is unique
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_peel_matches_the_negation_lookup_reference(data):
+    group = data.draw(st.sampled_from(GROUPS_TO_64))
+    ms = data.draw(multisets(group, 12, nonzero=True, closed=True))
+    _, codes, table = _codes(ms)
+    blocks, crossing = _peel(codes, table)
+    assert (blocks, crossing is None) == peel_reference.peel(codes, GroupTable(group))
+
+
+@pytest.mark.parametrize("moduli", [[24], [2, 24], [4, 64]], ids=str)
+def test_zero_sum_predicates_fill_no_negation_entry(moduli):
+    group = normalize_group(moduli)
+    n = group.exponent
+    unit = group.element([0] * (group.rank - 1) + [1])
+    free = [unit] * (n - 1)
+    atom = [unit] * n
+    pair = [unit, group.neg(unit)] * 2
+    checks = [
+        (is_zero_sum_free, free, True),
+        (is_zero_sum_free, atom, False),
+        (is_minimal_zero_sum, atom, True),
+        (is_minimal_zero_sum, pair, False),
+    ]
+    for predicate, elements, answer in checks:
+        ms = IndexedMultiset.from_elements(group, elements, max_size=len(elements))
+        group_table.cache_clear()
+        assert predicate(ms) is answer
+        table = group_table(group)
+        assert len(table.rotations) and not len(table.neg), predicate.__name__
 
 
 @pytest.mark.parametrize("group", GROUPS_TO_16, ids=key)
@@ -327,3 +363,26 @@ def test_atom_past_the_vector_cap_is_a_ufim():
     assert [wider.element_at(l) for l in sorted(block)] == [(1, 1), (0, 2), (3, 61)]
     assert is_minimal_zero_sum(wider.submultiset(block))
     assert is_minimal_zero_sum(wider.submultiset(rest))
+
+
+def test_non_unique_witnesses_past_the_size_cap():
+    # The 43-element multiset above: two factorizations, found without the
+    # 2^l partition enumeration.
+    els = [(h % 4, 1) for h in range(20)] + [(h % 4, 2) for h in range(20)]
+    closed = els + [C4_C64.neg(_sum(C4_C64, els))]
+    x = (1, 3)
+    wider = IndexedMultiset.from_elements(
+        C4_C64, closed + [x, C4_C64.neg(x)], max_size=43
+    )
+    assert wider.size > config.MAX_MULTISET_SIZE
+    with pytest.raises(NotUniqueFactorizationError) as err:
+        unique_factorization(wider)
+    first, second = err.value.first.blocks, err.value.second.blocks
+    assert first != second
+    for blocks in (first, second):
+        assert sorted(l for b in blocks for l in b) == list(wider.labels)
+        assert all(is_minimal_zero_sum(wider.submultiset(b)) for b in blocks)
+    # The peel closes {x, -x} after the atom; the crossing of {x, -x} with
+    # the atom gives the second factorization, which has neither block.
+    assert first == {frozenset(range(41)), frozenset({41, 42})}
+    assert not first & second
