@@ -373,11 +373,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     saved = config.MAX_MULTISET_SIZE, config.VERIFICATION_MODE
-    if args.max_size is not None:
-        config.MAX_MULTISET_SIZE = args.max_size
-    if args.verify_mode:
-        config.VERIFICATION_MODE = True
     try:
+        if args.max_size is not None:
+            if args.max_size < 0:
+                raise UsageError(f"--max-size must be at least 0, got {args.max_size}")
+            config.MAX_MULTISET_SIZE = args.max_size
+        if args.verify_mode:
+            config.VERIFICATION_MODE = True
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,7 +221,7 @@ def construction4_decompose(
     zero_t = phi.target.zero()
     labels = sorted(ms.labels)
     entry = ms.entries
-    in_kernel = [phi(entry[l]) == zero_t for l in labels]
+    in_kernel = [phi._apply(entry[l]) == zero_t for l in labels]
     t_labels = [l for l, k in zip(labels, in_kernel) if k]
     rest = [l for l, k in zip(labels, in_kernel) if not k]
     if len(rest) > 20:

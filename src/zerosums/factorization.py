@@ -1,6 +1,7 @@
 """Zero-sum predicates, irreducible factorizations, and unique-factorization tests.
 
-Every subset scan runs on the ``GroupTable`` subset-sum primitive:
+Every subset scan runs on the ``GroupTable`` subset-sum primitive, over the
+codes of a multiset's elements, which are encoded with no membership check:
 
 * Membership tests read supports. S is zero-sum free exactly when no
   s_i has 0 in supp + s_i, supp the subset sums of s_1..s_{i-1}
@@ -88,9 +89,9 @@ def _codes(
 ) -> tuple[tuple[int, ...], list[int], "object"]:
     """Labels in order, element codes per position, and the group table.
 
-    One read of ``ms.items``, which holds the entries in label order. With
-    require_zero_sum, the name of the caller's test, PreconditionError is
-    raised first unless ms is a zero-sum multiset over G\\{0}.
+    One read of ``ms.items``: elements of the group (encoded unchecked), in
+    label order. With require_zero_sum, the name of the caller's test,
+    PreconditionError is raised unless ms is a zero-sum multiset over G\\{0}.
     """
     labels, elements = tuple(zip(*ms.items)) or ((), ())
     group = ms.group

@@ -127,10 +127,15 @@ class FiniteAbelianGroup:
     def zero(self) -> Element:
         return (0,) * self.rank
 
-    def contains(self, g: Element) -> bool:
-        return len(g) == self.rank and all(
-            0 <= r < n for r, n in zip(g, self.invariant_factors)
-        )
+    def contains(self, g: object) -> bool:
+        """Whether g is a sequence of ``rank`` exact ints (no bool), each in
+        [0, n_i): the one membership test of the library."""
+        try:
+            return len(g) == self.rank and all(
+                type(r) is int and 0 <= r < n for r, n in zip(g, self.invariant_factors)
+            )
+        except TypeError:
+            return False
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % n for x, y, n in zip(a, b, self.invariant_factors))
@@ -409,15 +414,19 @@ _IDENTITY = bytes(range(256))
 
 
 class _PerCode(dict):
-    """A table over element codes whose entry for a code is computed by
-    ``fill(code)`` on its first lookup, and kept."""
+    """A table over the n codes of group whose entry for a code is computed
+    by ``fill(code)`` on its first lookup, and kept; IndexError for a non-code."""
 
-    __slots__ = ("fill",)
+    __slots__ = ("fill", "n", "group")
 
-    def __init__(self, fill: Callable[[int], Any]):
+    def __init__(self, fill: Callable[[int], Any], n: int, group: FiniteAbelianGroup):
         self.fill = fill  # the dict starts empty; dict.__init__ adds nothing
+        self.n = n
+        self.group = group
 
     def __missing__(self, code: int) -> Any:
+        if not 0 <= code < self.n:
+            raise IndexError(f"{code} is not an element code of {self.group}")
         value = self[code] = self.fill(code)
         return value
 
@@ -441,7 +450,8 @@ class GroupTable:
 
     Codes are mixed-radix: the residues of an element are its digits, the
     last coordinate varying fastest, so code order is the canonical element
-    order, and ``encode``/``decode`` are that arithmetic. The constructor
+    order, and ``encode``/``decode`` are that arithmetic, with no membership
+    check: an ``IndexedMultiset`` checks its elements when made. The constructor
     keeps only ``coords``, one (stride, modulus, spread) per coordinate, in
     O(|G|·rank) bits. ``neg``, ``order`` and ``rotations`` compute the entry
     of a code on its first lookup and keep it, so a call that reads l codes
@@ -490,21 +500,15 @@ class GroupTable:
         # freed at once, with no reference cycle left for the collector.
 
         def neg(c: int) -> int:
-            if not 0 <= c < n:
-                raise IndexError(f"{c} is not an element code of {group}")
             out = 0
             for h, m, _ in coords:
                 out += -(c // h) % m * h
             return out
 
         def order(c: int) -> int:
-            if not 0 <= c < n:
-                raise IndexError(f"{c} is not an element code of {group}")
             return lcm(*[m // gcd(m, c // h % m) for h, m, _ in coords])
 
         def rotations(c: int) -> tuple[tuple[int, int, int, int], ...]:
-            if not 0 <= c < n:
-                raise IndexError(f"{c} is not an element code of {group}")
             out = []
             for h, m, spread in coords:
                 up = c // h % m * h
@@ -516,9 +520,9 @@ class GroupTable:
                     out.append(step)
             return tuple(out)
 
-        self.neg = _PerCode(neg)
-        self.order = _PerCode(order)
-        self.rotations = _PerCode(rotations)
+        self.neg = _PerCode(neg, n, group)
+        self.order = _PerCode(order, n, group)
+        self.rotations = _PerCode(rotations, n, group)
 
     def fill_all(self) -> None:
         """Replace ``neg``, ``order`` and ``rotations`` by tuples over every
@@ -533,43 +537,24 @@ class GroupTable:
         self.rotations = tuple([self.rotations[c] for c in codes])
 
     def encode(self, g: Element) -> int:
-        """The code of the element g; DomainError when g is not one."""
+        """The code of the element g, under the precondition of
+        ``encode_all``."""
         return self.encode_all((g,))[0]
 
     def encode_all(self, elements: Sequence[Element]) -> list[int]:
-        """The code of each element, in order.
+        """The code of each element, in order, a column of digits at a time.
 
-        Checked a column at a time, in C loops: every element has one
-        residue per coordinate, each residue lies in [0, modulus), and the
-        codes are ints. DomainError names the first entry that is not an
-        element of the group.
+        Precondition: every entry is an element of the group
+        (``FiniteAbelianGroup.contains``), as every entry of an
+        ``IndexedMultiset`` is. Nothing is checked; a non-element gets a
+        wrong code or an arbitrary error.
         """
-        moduli = self.group.invariant_factors
-        try:
-            if set(map(len, elements)) <= {len(moduli)}:
-                columns = list(zip(*elements))
-                if all(
-                    min(col) >= 0 and max(col) < m for col, m in zip(columns, moduli)
-                ):
-                    if not columns:
-                        return [0] * len(elements)
-                    codes = list(columns[0])
-                    for col, m in zip(columns[1:], moduli[1:]):
-                        codes = [c * m + r for c, r in zip(codes, col)]
-                    if set(map(type, codes)) <= {int}:
-                        return codes
-        except TypeError:
-            pass
-        for g in elements:
-            try:
-                valid = len(g) == len(moduli) and all(
-                    type(r) is int and 0 <= r < m for r, m in zip(g, moduli)
-                )
-            except TypeError:
-                valid = False
-            if not valid:
-                raise DomainError(f"{g!r} is not an element of {self.group}")
-        raise DomainError(f"{list(elements)!r} are not elements of {self.group}")
+        columns = zip(*elements)
+        # No columns (the trivial group): every code is 0.
+        codes = list(next(columns, [0] * len(elements)))
+        for col, m in zip(columns, self.group.invariant_factors[1:]):
+            codes = [c * m + r for c, r in zip(codes, col)]
+        return codes
 
     def decode(self, c: int) -> Element:
         if not 0 <= c < self.n:

@@ -18,8 +18,18 @@ from .groups import Element, FiniteAbelianGroup, Homomorphism
 
 @dataclass(frozen=True, eq=False)
 class IndexedMultiset:
+    """Elements of group under distinct labels. However the multiset is made,
+    each element is checked with ``group.contains`` (DomainError names the
+    first non-element), so code that reads the elements trusts them."""
+
     group: FiniteAbelianGroup
     items: tuple[tuple[int, Element], ...]  # (label, element), sorted by label
+
+    def __post_init__(self) -> None:
+        contains = self.group.contains
+        for _, g in self.items:
+            if not contains(g):
+                raise DomainError(f"{g!r} is not an element of {self.group}")
 
     @staticmethod
     def from_elements(
@@ -187,7 +197,7 @@ def apply_hom(phi: Homomorphism, s: IndexedMultiset) -> IndexedMultiset:
     if s.group != phi.source:
         raise DomainError("multiset group does not match the map's source")
     return IndexedMultiset(
-        phi.target, tuple((lbl, phi(el)) for lbl, el in s.items)
+        phi.target, tuple((lbl, phi._apply(el)) for lbl, el in s.items)
     )
 
 
@@ -196,11 +206,3 @@ def to_lists(s: MultisetLike) -> list[list[int]]:
     _, els = _group_and_elements(s)
     return [list(el) for el in sorted(els)]
 
-
-def from_lists(
-    group: FiniteAbelianGroup,
-    residue_lists: Sequence[Sequence[int]],
-    *,
-    allow_zero: bool = False,
-) -> IndexedMultiset:
-    return IndexedMultiset.from_elements(group, residue_lists, allow_zero=allow_zero)

@@ -97,6 +97,20 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, "invariant", "-g", "1", "-i", "D")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-g", "4", "--budget-nodes", "-1"],
+        ["-g", "4", "--budget-seconds", "-1"],
+        ["-g", "2,2,2,2", "--budget-seconds", "nan"],
+        ["-g", "4", "--max-size", "-1"],
+    ],
+)
+def test_nonsense_budgets_and_caps_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "invariant", "-i", "K1", *argv)
+    assert code == 2 and out == "" and "must be at least 0" in err
+
+
 def test_exit_code_resource_limit(capsys):
     assert run(capsys, "invariant", "-g", "40", "-i", "K1")[0] == 5
 

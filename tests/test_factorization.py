@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -289,26 +290,36 @@ def test_factor_product_and_count_bounds():
 
 
 @pytest.mark.parametrize(
-    "moduli, items, ufim_error, minimal",
+    "moduli, items, bad",
     [
-        # 0 is present: that precondition comes first.
-        ([4], ((0, (4,)), (1, (0,))), PreconditionError, DomainError),
-        # A short entry: its truncated sum is not 0, which comes first.
-        ([2, 4], ((0, (1, 1)), (1, (1,))), PreconditionError, False),
+        # 0 is present as well.
+        ([4], ((0, (4,)), (1, (0,))), (4,)),
+        # A short entry, whose truncated sum is not 0 either.
+        ([2, 4], ((0, (1, 1)), (1, (1,))), (1,)),
         # Zero-sum, but (5,) is not an element.
-        ([4], ((0, (5,)), (1, (3,))), DomainError, DomainError),
+        ([4], ((0, (5,)), (1, (3,))), (5,)),
     ],
 )
-def test_preconditions_come_before_the_element_check(moduli, items, ufim_error, minimal):
-    # Made directly, so from_elements' checks are skipped.
+def test_the_element_check_comes_before_the_preconditions(moduli, items, bad):
+    # No predicate sees these: the multiset is refused where it is made.
+    group = normalize_group(moduli)
+    message = re.escape(f"{bad!r} is not an element of {group}")
+    with pytest.raises(DomainError, match=message):
+        IndexedMultiset(group, items)
+
+
+@pytest.mark.parametrize(
+    "moduli, items",
+    [
+        # 0 is present.
+        ([4], ((0, (0,)), (1, (0,)))),
+        # Not zero-sum.
+        ([2, 4], ((0, (1, 1)), (1, (0, 1)))),
+    ],
+)
+def test_a_valid_multiset_reaches_the_zero_sum_preconditions(moduli, items):
     s = IndexedMultiset(normalize_group(moduli), items)
-    with pytest.raises(DomainError):
-        is_zero_sum_free(s)
     for test in (is_ufim, unique_factorization):
-        with pytest.raises(ufim_error):
+        with pytest.raises(PreconditionError):
             test(s)
-    if minimal is False:
-        assert is_minimal_zero_sum(s) is False
-    else:
-        with pytest.raises(minimal):
-            is_minimal_zero_sum(s)
+    assert is_minimal_zero_sum(s) is False

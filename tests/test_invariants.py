@@ -189,6 +189,15 @@ def test_time_budget_exhaustion():
     assert result.value >= k1_star(G(2, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}],
+)
+def test_a_negative_or_nan_budget_is_refused(limits):
+    with pytest.raises(DomainError, match="must be at least 0"):
+        Budget(**limits)
+
+
 def test_record_round_trip_and_cache(tmp_path):
     cache = ResultCache(tmp_path)
     first = k1(G(4), cache=cache)

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import group_fold_reference as reference
@@ -16,9 +18,11 @@ from zerosums import (
     sigma,
     trivial_group,
 )
-from zerosums.errors import PreconditionError, ResourceLimitError
+from zerosums.cache import FORMAT_VERSION
+from zerosums.errors import DomainError, PreconditionError, ResourceLimitError
 from zerosums.groups import abelian_groups_up_to
-from zerosums.multisets import from_lists, to_lists
+from zerosums.invariants import from_record
+from zerosums.multisets import to_lists
 from zerosums import config
 
 
@@ -141,7 +145,7 @@ def test_serialization_round_trip():
     s = IndexedMultiset.from_elements(group, [[0, 1], [0, 1], [1, 2]])
     lists = to_lists(s)
     assert lists == sorted(lists)
-    assert from_lists(group, lists) == s
+    assert IndexedMultiset.from_elements(group, lists) == s
 
 
 def test_subset_and_submultiset():
@@ -152,3 +156,95 @@ def test_subset_and_submultiset():
     rest = sub.complement()
     assert sorted(rest.elements()) == [(2,), (2,)]
     assert s.submultiset([1, 3]).canonical() == ((2,), (2,))
+
+
+# -- membership: checked once, where a multiset is made -----------------------
+
+
+def is_element(group, g):
+    """Membership written out: a tuple of one residue per invariant factor,
+    each an int (not a bool) in range(n)."""
+    return (
+        isinstance(g, tuple)
+        and len(g) == len(group.invariant_factors)
+        and all(
+            isinstance(r, int) and not isinstance(r, bool) and r in range(n)
+            for r, n in zip(g, group.invariant_factors)
+        )
+    )
+
+
+def candidates(group, rng, count):
+    """Elements, tuples one defect away from an element (a residue out of
+    range, negative, a bool or a float; one residue too few or too many),
+    and values that are not sequences."""
+    moduli = group.invariant_factors
+    out = [None, 0, 1.5]
+    for _ in range(count):
+        g = [rng.randrange(n) for n in moduli]
+        kind = rng.choice(["element", "high", "negative", "bool", "float", "short", "long"])
+        if kind in ("high", "negative", "bool", "float") and g:
+            i = rng.randrange(len(g))
+            g[i] = {
+                "high": moduli[i] + rng.randrange(2 * moduli[i]),
+                "negative": -rng.randrange(1, moduli[i] + 1),
+                "bool": rng.random() < 0.5,
+                "float": float(g[i]),
+            }[kind]
+        elif kind == "short" and g:
+            g.pop()
+        elif kind != "element":
+            g.append(rng.randrange(2))
+        out.append(tuple(g))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "group", [trivial_group()] + abelian_groups_up_to(64), ids=lambda g: g.key
+)
+def test_every_construction_path_holds_only_elements(group):
+    rng = random.Random(group.key)
+    items = candidates(group, rng, 40)
+    for g in items:
+        assert group.contains(g) is is_element(group, g)
+        one = ((0, group.zero()), (1, g))
+        if is_element(group, g):
+            assert IndexedMultiset(group, one).elements() == (group.zero(), g)
+        else:
+            with pytest.raises(DomainError, match=re.escape(f"{g!r} is not an element")):
+                IndexedMultiset(group, one)
+        # from_elements reduces integer residues, so it makes an element of
+        # every tuple of rank ints, and refuses the rest.
+        try:
+            made = IndexedMultiset.from_elements(group, [g], allow_zero=True)
+        except DomainError:
+            assert not is_element(group, g)
+        else:
+            assert is_element(group, made.elements()[0])
+            assert made.elements()[0] == g or not is_element(group, g)
+    # The first non-element is the one named.
+    first_bad = next(g for g in items if not is_element(group, g))
+    with pytest.raises(DomainError, match=re.escape(f"{first_bad!r} is not")):
+        IndexedMultiset(group, tuple(enumerate(items)))
+
+    # Every path that makes a multiset from another one keeps to elements.
+    good = [g for g in items if is_element(group, g)]
+    s = IndexedMultiset(group, tuple(enumerate(good)))
+    half = s.labels[::2]
+    phis = [multiplication_hom(group, rng.randrange(-5, 6))]
+    phis += [projection_hom(group, j) for j in range(group.rank)]
+    made = [s.submultiset(half), s.without(half), disjoint_union(s, s)]
+    made += [apply_hom(phi, s) for phi in phis]
+    nonzero = s.without([lbl for lbl, g in s.items if g == group.zero()])
+    record = {
+        "version": FORMAT_VERSION, "group_key": group.key, "invariant": "D",
+        "value": "0", "witness": to_lists(nonzero), "provenance": "computed",
+        "stats": {"nodes": 0, "prunes": {}},
+    }
+    made.append(from_record(group, record).witness)
+    for m in made:
+        assert all(is_element(m.group, g) for g in m.elements())
+    for phi, image in zip(phis, made[3:]):
+        assert image.elements() == tuple(reference.apply(phi, g) for g in good)
+    assert made[-1] == nonzero
