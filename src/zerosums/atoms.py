@@ -78,11 +78,14 @@ def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
 
     table = group_table(group)
     table.fill_all()  # the DFS reads every code
-    # add[x][e] = x + e. n <= ATOM_ORDER_CAP, so n rows of n codes; tuples,
-    # since the search indexes them faster than bytes.
-    add = [tuple(table.row(x)) for x in range(n)]
     neg = table.neg
     translate = table.translate
+    # add[x][e] = x + e, from one-bit translates. n <= ATOM_ORDER_CAP, so
+    # n rows of n codes.
+    add = [
+        tuple([translate(1 << e, x).bit_length() - 1 for e in range(n)])
+        for x in range(n)
+    ]
     # (codes, sums) per atom, in lexicographic order of codes.
     found: list[tuple[tuple[int, ...], int]] = []
     prefix: list[int] = []

@@ -8,9 +8,9 @@ Values are module level so tests and the CLI can adjust them in place.
 MAX_MULTISET_SIZE = 40
 
 # Verification mode cross-checks is_ufim against the intersection-closure
-# test only up to this size. Nothing else reads it: subset listing meets in
-# the middle at every size. It stays because the benchmark pins the full
-# config and its worker refuses to start on a missing field.
+# test only up to this size. Nothing else reads it: subset listing walks the
+# subset-sum supports at every size. It stays because the benchmark pins the
+# full config and its worker refuses to start on a missing field.
 DIRECT_SCAN_LIMIT = 20
 
 # Listed zero-sum subsets per call before a resource-limit error.

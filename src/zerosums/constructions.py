@@ -22,11 +22,10 @@ from .groups import (
     factorize,
     group_table,
     is_prime,
-    masks_with_sum,
     normalize_group,
     product_presentation,
 )
-from .factorization import is_ufim, is_zero_sum_free
+from .factorization import is_ufim, is_zero_sum_free, masks_with_sum
 from .multisets import (
     IndexedMultiset,
     IndexSubset,
@@ -234,21 +233,24 @@ def construction4_decompose(
     table = group_table(ms.group)
     l = len(rest)
     codes = table.encode_all([entry[r] for r in rest])
-    sums = table.subset_sums(codes)
 
     def mask_codes(mask: int) -> list[int]:
         return [codes[i] for i in range(l) if mask >> i & 1]
 
-    # Each distinct subset sum is mapped once, not every element of G.
-    kernel_sums = [
-        s for s in set(sums) if s and phi._apply(table.decode(s)) == zero_t
-    ]
-    candidates = sorted(
-        mask
-        for s in kernel_sums
-        for mask in masks_with_sum(sums, s)
-        if table.zero_sum_free(mask_codes(mask))
-    )
+    # Each distinct nonzero subset sum, a set bit of the support, is mapped
+    # once, not every element of G.
+    candidates = []
+    sums = table.sumset(codes) & ~1
+    while sums:
+        s = sums.bit_length() - 1
+        sums ^= 1 << s
+        if phi._apply(table.decode(s)) == zero_t:
+            candidates += [
+                mask
+                for mask in masks_with_sum(s, codes, table)
+                if table.zero_sum_free(mask_codes(mask))
+            ]
+    candidates.sort()
 
     # Maximal packing count per free mask, then the lexicographically least
     # maximal family, built by always trying the least usable candidate.

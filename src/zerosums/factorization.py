@@ -11,11 +11,13 @@ codes of a multiset's elements, which are encoded with no membership check:
   free (a proper zero-sum subset or its complement misses that element).
   Both cost O(l * rank(G)) shift-and-mask steps on |G|-bit masks at every
   size l, and read no negation.
-* Subset listings meet in the middle: ``GroupTable.subset_sums`` gives the
-  sum of every subset of each half, indexed by mask, and a zero-sum subset
-  joins a subset of the first half with one of the second half of the
-  opposite sum. A zero-sum subset is a minimal block when it passes the
-  minimality test above.
+* Subset listings walk the supports (``masks_with_sum``): from the first
+  element on, an element may be left out when the sum still to be made is
+  a subset sum of the ones after it, and taken when that sum minus its
+  code is. Partial masks are grouped by the sum still to be made, so each
+  element costs rank(G) steps per distinct sum plus list work per mask
+  kept, and every mask kept is part of an answer. A zero-sum subset is a
+  minimal block when it passes the minimality test above.
 
 ``is_ufim`` decides unique factorization at every size in O(l^2 * rank(G))
 such steps, so no input is refused for its size. It peels one factorization:
@@ -49,7 +51,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .groups import group_table, masks_with_sum
+from .groups import group_table
 from .multisets import IndexedMultiset, IndexSubset, element_sum, sigma
 
 
@@ -106,23 +108,45 @@ def _codes(
     return labels, table.encode_all(elements), table
 
 
-def _zero_sum_masks_mitm(codes: Sequence[int], table, cap: int) -> list[int]:
-    """Zero-sum masks, ascending, by meet-in-the-middle of two halves."""
-    h = len(codes) // 2
-    neg = table.neg
-    lo = table.subset_sums(codes[:h])
-    hi = table.subset_sums(codes[h:])
-    out: list[int] = []
-    for s in set(lo):
-        partners = [b << h for b in masks_with_sum(hi, neg[s])]
-        if not partners:
-            continue
-        for a in masks_with_sum(lo, s):
-            out += [a | b for b in partners]
-            if len(out) > cap:
-                raise ResourceLimitError(f"more than {cap} zero-sum subsets")
-    out.sort()
-    return out
+def masks_with_sum(t: int, codes: Sequence[int], table) -> list[int]:
+    """Masks over codes, ascending, whose codes sum to t.
+
+    The rule of ``_walk_back``, on every path and over the supports of the
+    suffixes (supp_k: the subset sums of codes[k:]), so that positions are
+    decided from the lowest bit up: position k may be left out when the sum
+    still to be made is in supp_{k+1}, and taken when that sum minus
+    codes[k] is. The partial masks of a level are grouped by the sum still
+    to be made, so a level costs rank(G) shift-and-mask steps per distinct
+    sum and list work per mask. A group's masks stay ascending: the ones
+    that take position k all exceed the ones that leave it out. Each kept
+    mask ends in a distinct answer, so more than ``config.SUBSET_OUTPUT_CAP``
+    of them is refused at once.
+    """
+    neg, translate = table.neg, table.translate
+    cap = config.SUBSET_OUTPUT_CAP
+    supps = [1]
+    for c in reversed(codes):
+        supps.append(supps[-1] | translate(supps[-1], c))
+    if not supps[-1] >> t & 1:
+        return []
+    supps.reverse()
+    level = {t: [0]}
+    for k, c in enumerate(codes):
+        supp, bit, back = supps[k + 1], 1 << k, neg[c]
+        below = {}
+        for r, masks in level.items():
+            s = translate(1 << r, back).bit_length() - 1
+            if supp >> s & 1:
+                # r -> r - c is one to one, so no s is met twice.
+                below[s] = [m | bit for m in masks]
+        for r, masks in level.items():
+            if supp >> r & 1:
+                masks += below.get(r, ())
+                below[r] = masks
+        if sum(map(len, below.values())) > cap:
+            raise ResourceLimitError(f"more than {cap} zero-sum subsets")
+        level = below
+    return level[0]
 
 
 def _zero_sum_masks(
@@ -134,8 +158,7 @@ def _zero_sum_masks(
         raise ResourceLimitError(
             f"multiset size {len(codes)} exceeds cap {config.MAX_MULTISET_SIZE}"
         )
-    masks = _zero_sum_masks_mitm(codes, table, config.SUBSET_OUTPUT_CAP)
-    return labels, codes, masks, table
+    return labels, codes, masks_with_sum(0, codes, table), table
 
 
 def _minimal_masks(zs_masks: Sequence[int], codes: Sequence[int], table) -> list[int]:

@@ -410,9 +410,6 @@ def abelian_groups_up_to(max_order: int) -> list[FiniteAbelianGroup]:
 # -- arithmetic tables for search kernels --------------------------------------
 
 
-_IDENTITY = bytes(range(256))
-
-
 class _PerCode(dict):
     """A table over the n codes of group whose entry for a code is computed
     by ``fill(code)`` on its first lookup, and kept; IndexError for a non-code."""
@@ -456,15 +453,14 @@ class GroupTable:
     O(|G|·rank) bits. ``neg``, ``order`` and ``rotations`` compute the entry
     of a code on its first lookup and keep it, so a call that reads l codes
     costs O(l·rank) steps whatever the order of the group, and the entries
-    are dropped with the table. ``row(g)``, the code of x + g for every code
-    x, is built afresh on each call from the digits of g.
+    are dropped with the table.
 
     A subset of the group is an int bitmask over codes (bit c for element
     c). ``translate``, ``minkowski``, ``sumset`` and ``zero_sum_free`` on
-    such masks form the subset-sum-support primitive of the atom and
-    unique-factorization searches and of the zero-sum predicates;
-    ``subset_sums`` lists the sum of every subset of a sequence, for the
-    scans that need the subsets themselves.
+    such masks are the one addition primitive: the atom and
+    unique-factorization searches, the zero-sum predicates and the subset
+    listings (``factorization.masks_with_sum``) all read subset-sum supports,
+    and the sum x + g of two codes is ``translate(1 << x, g)``.
 
     The group adds each digit on its own, with no carry between digits, so
     adding g moves codes one nonzero digit at a time: adding digit d at
@@ -561,24 +557,6 @@ class GroupTable:
             raise IndexError(f"{c} is not an element code of {self.group}")
         return tuple([c // h % m for h, m, _ in self.coords])
 
-    def row(self, g: int) -> bytes | list[int]:
-        """The code of x + g at index x, for every code x.
-
-        Built on each call, never stored. A nonzero digit of g rotates
-        each block of codes that share the digits above its coordinate, one
-        slice per block, so a row costs O(rank·|G|) bytes copied. The row
-        is bytes when |G| <= 256 (ready for ``bytes.translate``), else a
-        list.
-        """
-        n = self.n
-        small = n <= 256
-        row: bytes | list[int] = _IDENTITY[:n] if small else list(range(n))
-        for up, _, down, _ in self.rotations[g]:
-            size = up + down
-            parts = [row[b + up : b + size] + row[b : b + up] for b in range(0, n, size)]
-            row = b"".join(parts) if small else list(itertools.chain(*parts))
-        return row
-
     def translate(self, mask: int, g: int) -> int:
         """The set mask + g."""
         for up, hi, down, lo in self.rotations[g]:
@@ -619,41 +597,6 @@ class GroupTable:
                 return False
             supp |= m
         return True
-
-    def subset_sums(self, codes: Sequence[int]) -> bytes | list[int]:
-        """The code of the sum of every subset of codes, indexed by mask.
-
-        Entry m is the sum of codes[i] over the bits i set in m. The table
-        doubles once per element: the sums of the masks with bit i set are
-        the sums so far moved through ``row(codes[i])``. When |G| <= 256 the
-        table is a bytes object and each doubling one ``bytes.translate``;
-        for larger groups it is a list.
-        """
-        row = self.row
-        if self.n <= 256:
-            pad = bytes(256 - self.n)
-            sums = b"\0"
-            for g in codes:
-                sums += sums.translate(row(g) + pad)
-            return sums
-        out = [0]
-        for g in codes:
-            r = row(g)
-            out += [r[s] for s in out]
-        return out
-
-
-def masks_with_sum(sums: bytes | list[int], s: int) -> list[int]:
-    """Ascending masks whose entry in a ``subset_sums`` table is s."""
-    if isinstance(sums, bytes):
-        out = []
-        find = sums.find
-        i = find(s)
-        while i >= 0:
-            out.append(i)
-            i = find(s, i + 1)
-        return out
-    return [m for m, v in enumerate(sums) if v == s]
 
 
 @lru_cache(maxsize=None)

@@ -19,8 +19,9 @@ from .groups import Element, FiniteAbelianGroup, Homomorphism
 @dataclass(frozen=True, eq=False)
 class IndexedMultiset:
     """Elements of group under distinct labels. However the multiset is made,
-    each element is checked with ``group.contains`` (DomainError names the
-    first non-element), so code that reads the elements trusts them."""
+    each element is checked to be a tuple that ``group.contains`` accepts
+    (DomainError names the first non-element), so code that reads the
+    elements trusts them, and equality and hashing can compare them."""
 
     group: FiniteAbelianGroup
     items: tuple[tuple[int, Element], ...]  # (label, element), sorted by label
@@ -28,7 +29,7 @@ class IndexedMultiset:
     def __post_init__(self) -> None:
         contains = self.group.contains
         for _, g in self.items:
-            if not contains(g):
+            if not isinstance(g, tuple) or not contains(g):
                 raise DomainError(f"{g!r} is not an element of {self.group}")
 
     @staticmethod

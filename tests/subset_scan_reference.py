@@ -4,8 +4,8 @@ Direct forms of the subset scans: dense tables built with one
 ``group.add`` per pair of elements, the sum of every subset mask computed
 one mask at a time, minimality by comparing every pair of zero-sum masks,
 and zero-sum freeness by looking at every subset. The library reads
-supports and byte-translated subset-sum tables instead; the tests require
-both to agree on every answer, mask and block.
+subset-sum supports instead, and lists subsets by walking them; the tests
+require both to agree on every answer, mask and block.
 """
 
 from __future__ import annotations

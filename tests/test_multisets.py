@@ -177,12 +177,17 @@ def is_element(group, g):
 def candidates(group, rng, count):
     """Elements, tuples one defect away from an element (a residue out of
     range, negative, a bool or a float; one residue too few or too many),
-    and values that are not sequences."""
+    elements as lists, and values that are not sequences."""
     moduli = group.invariant_factors
     out = [None, 0, 1.5]
     for _ in range(count):
         g = [rng.randrange(n) for n in moduli]
-        kind = rng.choice(["element", "high", "negative", "bool", "float", "short", "long"])
+        kind = rng.choice(
+            ["element", "high", "negative", "bool", "float", "short", "long", "list"]
+        )
+        if kind == "list":
+            out.append(g)
+            continue
         if kind in ("high", "negative", "bool", "float") and g:
             i = rng.randrange(len(g))
             g[i] = {
@@ -207,7 +212,10 @@ def test_every_construction_path_holds_only_elements(group):
     rng = random.Random(group.key)
     items = candidates(group, rng, 40)
     for g in items:
-        assert group.contains(g) is is_element(group, g)
+        # contains, and from_elements, take a list of residues too; a
+        # multiset holds tuples only.
+        as_tuple = tuple(g) if isinstance(g, list) else g
+        assert group.contains(g) is is_element(group, as_tuple)
         one = ((0, group.zero()), (1, g))
         if is_element(group, g):
             assert IndexedMultiset(group, one).elements() == (group.zero(), g)
@@ -219,10 +227,10 @@ def test_every_construction_path_holds_only_elements(group):
         try:
             made = IndexedMultiset.from_elements(group, [g], allow_zero=True)
         except DomainError:
-            assert not is_element(group, g)
+            assert not is_element(group, as_tuple)
         else:
             assert is_element(group, made.elements()[0])
-            assert made.elements()[0] == g or not is_element(group, g)
+            assert made.elements()[0] == as_tuple or not is_element(group, as_tuple)
     # The first non-element is the one named.
     first_bad = next(g for g in items if not is_element(group, g))
     with pytest.raises(DomainError, match=re.escape(f"{first_bad!r} is not")):

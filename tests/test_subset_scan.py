@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from zerosums import config
 from zerosums.constructions import construction4_decompose, extremal_ufim
-from zerosums.errors import DomainError, NotUniqueFactorizationError
+from zerosums.errors import DomainError, NotUniqueFactorizationError, ResourceLimitError
 from zerosums.factorization import (
     _codes,
     _peel,
+    _subsequence_with_sum,
     count_factorizations,
     is_minimal_zero_sum,
     is_ufim,
     is_zero_sum_free,
+    masks_with_sum,
     unique_factorization,
     zero_sum_subsets,
 )
@@ -35,12 +37,15 @@ from zerosums.multisets import IndexedMultiset
 
 GROUPS_TO_16 = abelian_groups_up_to(16)
 GROUPS_TO_64 = abelian_groups_up_to(64)
-# Above 256 elements, subset_sums returns a list instead of bytes.
+# 300 elements: masks wider than the codes of any group of order <= 64.
 BIG = normalize_group([2, 150])
-# Exactly 256 elements: the largest group on the bytes branch.
+# A 64-element coordinate: the distinct values of long multisets stay few.
 C4_C64 = normalize_group([4, 64])
-# Rank 10: rows of many short blocks, on the list branch.
+# Rank 10: ten shift-and-mask steps per translate.
 C2_10 = normalize_group([2] * 10)
+# Over a million elements: a listing may build nothing of size |G| per
+# element.
+HUGE = normalize_group([101, 10201])
 
 
 def key(group):
@@ -111,15 +116,12 @@ def check_factorizations(ms):
 @pytest.mark.parametrize("group", [trivial_group()] + abelian_groups_up_to(64), ids=key)
 def test_tables_match_pairwise_construction(group):
     table = GroupTable(group)
-    add, neg, order = reference.tables(group)
+    _, neg, order = reference.tables(group)
     elements = list(group.elements())
     # One code at a time on a fresh table, as the predicates read it.
     for c, el in enumerate(elements):
         assert table.encode(el) == c and table.decode(c) == el
         assert (table.neg[c], table.order[c]) == (neg[c], order[c])
-        # translate distributes over union, so single bits decide every mask.
-        for x in range(table.n):
-            assert table.translate(1 << x, c) == 1 << add[x][c]
     assert table.encode_all(elements) == list(range(table.n))
     memo = table.rotations
     table.fill_all()
@@ -171,17 +173,21 @@ def test_encode_rejects_a_non_element(moduli, element):
     "group", [trivial_group()] + abelian_groups_up_to(64) + [BIG, C2_10], ids=key
 )
 def test_row_is_the_reference_column(group):
+    # The row of g, x + g for every code x, read off one-bit translates, as
+    # the atom search builds its addition table. translate distributes over
+    # union, so single bits decide every mask.
     table = GroupTable(group)
     add = reference.tables(group)[0]
     for g in range(table.n):
-        row = table.row(g)
-        assert isinstance(row, bytes if table.n <= 256 else list)
-        assert list(row) == [add[x][g] for x in range(table.n)]
+        row = [table.translate(1 << x, g) for x in range(table.n)]
+        assert row == [1 << add[x][g] for x in range(table.n)]
 
 
 @given(st.data())
 def test_translate_matches_set_arithmetic(data):
-    group = data.draw(st.sampled_from(GROUPS_TO_16 + [normalize_group([8, 8]), BIG]))
+    group = data.draw(
+        st.sampled_from(GROUPS_TO_16 + [normalize_group([8, 8]), BIG, C2_10])
+    )
     table = GroupTable(group)
     add = reference.tables(group)[0]
     g = data.draw(st.integers(0, table.n - 1))
@@ -191,20 +197,57 @@ def test_translate_matches_set_arithmetic(data):
 
 
 @given(st.data())
-def test_subset_sums_match_reference(data):
-    group = data.draw(st.sampled_from(GROUPS_TO_16 + [C4_C64, BIG]))
+def test_listing_matches_reference(data):
+    group = data.draw(st.sampled_from(GROUPS_TO_16 + [BIG, C2_10]))
     table = group_table(group)
     codes = data.draw(st.lists(st.integers(0, table.n - 1), max_size=9))
-    sums = table.subset_sums(codes)
-    assert isinstance(sums, bytes if table.n <= 256 else list)
-    assert list(sums) == reference.subset_sums(codes, reference.tables(group)[0])
+    sums = reference.subset_sums(codes, reference.tables(group)[0])
+    t = data.draw(st.sampled_from(sums) | st.integers(0, table.n - 1))
+    assert masks_with_sum(t, codes, table) == [m for m, s in enumerate(sums) if s == t]
 
 
-@given(st.lists(st.integers(0, C2_10.order - 1), max_size=9))
-def test_subset_sums_match_reference_on_c2_10(codes):
-    sums = group_table(C2_10).subset_sums(codes)
-    assert isinstance(sums, list)
-    assert sums == reference.subset_sums(codes, reference.tables(C2_10)[0])
+@given(st.data())
+def test_listing_on_a_million_elements(data):
+    # A pool of at most three codes makes equal elements, and so sums
+    # reached by several masks, common. A fresh table per example: each
+    # translation step it keeps spans the 1,030,301 codes.
+    table = GroupTable(HUGE)
+    pool = data.draw(st.lists(st.integers(0, table.n - 1), min_size=1, max_size=3))
+    codes = data.draw(st.lists(st.sampled_from(pool), max_size=10))
+    elements = [table.decode(c) for c in codes]
+    sums = []
+    for m in range(1 << len(codes)):
+        picked = [el for i, el in enumerate(elements) if m >> i & 1]
+        sums.append(table.encode(_sum(HUGE, picked)))
+    t = data.draw(st.sampled_from(sums))
+    assert masks_with_sum(t, codes, table) == [m for m, s in enumerate(sums) if s == t]
+
+
+def test_listing_cap_boundary(monkeypatch):
+    # Eight ones in C_2: 128 masks of each sum.
+    table = group_table(normalize_group([2]))
+    codes = [1] * 8
+    monkeypatch.setattr(config, "SUBSET_OUTPUT_CAP", 128)
+    assert masks_with_sum(0, codes, table) == [
+        m for m in range(256) if m.bit_count() % 2 == 0
+    ]
+    monkeypatch.setattr(config, "SUBSET_OUTPUT_CAP", 127)
+    with pytest.raises(ResourceLimitError, match="more than 127 zero-sum subsets"):
+        masks_with_sum(0, codes, table)
+
+
+@given(st.data())
+def test_walk_back_picks_the_least_listed_mask(data):
+    group = data.draw(st.sampled_from(GROUPS_TO_16 + [BIG]))
+    table = group_table(group)
+    codes = data.draw(st.lists(st.integers(0, table.n - 1), max_size=9))
+    positions = [p for p in range(len(codes)) if data.draw(st.booleans())]
+    picked = [codes[p] for p in positions]
+    sums = reference.subset_sums(picked, reference.tables(group)[0])
+    t = data.draw(st.sampled_from(sums))
+    least = masks_with_sum(t, picked, table)[0]
+    expected = [p for i, p in enumerate(positions) if least >> i & 1]
+    assert sorted(_subsequence_with_sum(t, positions, codes, table)) == expected
 
 
 # -- predicates on every group of order <= 16 -------------------------------
@@ -310,7 +353,7 @@ def test_decompose_matches_reference(group, data):
     assert tuple(p.labels for p in result.packing) == packing
 
 
-# -- a group above 256 elements (list-valued subset sums) --------------------
+# -- a group of 300 elements ------------------------------------------------
 
 
 @given(st.data())
