@@ -11,16 +11,20 @@ from fractions import Fraction
 from .groups import FiniteAbelianGroup
 
 
-def k1_star(group: FiniteAbelianGroup) -> Fraction:
-    """Conjectured maximum cross number over unique-factorization multisets.
+def k1_star_term(p: int, e: int) -> Fraction:
+    """The K1* summand of a prime-power component C_{p^e}:
+    (p^e - 1)/(p^e - p^(e-1)) = 1 + 1/p + ... + 1/p^(e-1)."""
+    q = p**e
+    return Fraction(q - 1, q - q // p)
 
-    Per prime-power component C_{p^e} the summand is
-    (p^e - 1)/(p^e - p^(e-1)) = 1 + 1/p + ... + 1/p^(e-1); the value is
-    additive over direct sums.
-    """
+
+def k1_star(group: FiniteAbelianGroup) -> Fraction:
+    """Conjectured maximum cross number over unique-factorization multisets:
+    the sum of ``k1_star_term`` over the prime-power components, since the
+    value is additive over direct sums."""
     total = Fraction(0)
     for p, e in group.primary_components:
-        total += Fraction(p**e - 1, p**e - p ** (e - 1))
+        total += k1_star_term(p, e)
     return total
 
 

@@ -35,7 +35,7 @@ from .factorization import (
     is_zero_sum_free,
     unique_factorization,
 )
-from .formulas import K_star, d_star, k1_star, k_star, n1_star
+from .formulas import K_star, d_star, k1_star, k1_star_term, k_star, n1_star
 from .groups import (
     FiniteAbelianGroup,
     Homomorphism,
@@ -404,8 +404,12 @@ def _log_bounds(group: FiniteAbelianGroup) -> dict[str, LogBound]:
     order = group.order
     p_minus, p_plus, _ = prime_stats(order)
     exp_count = sum(e for _, e in group.primary_components)
+    arg = Fraction(order)
     return {
-        "gao_wang_log": LogBound.ln(order) + LogBound.log2(order, Fraction(1, p_minus)),
+        # ln|G| + log2|G| / p_minus, in one construction
+        "gao_wang_log": LogBound(
+            Fraction(0), ((Fraction(1, p_minus), arg),), ((Fraction(1), arg),)
+        ),
         "asymptote_gap": LogBound.log2(p_plus, Fraction(exp_count, p_minus)),
     }
 
@@ -456,7 +460,7 @@ def size_limit_threshold(group: FiniteAbelianGroup) -> Fraction:
     p_minus = prime_stats(group.order)[0]
     total = Fraction(0)
     for p, e in group.primary_components:
-        total += Fraction(p_minus, p) * k1_star(normalize_group([p**e]))
+        total += Fraction(p_minus, p) * k1_star_term(p, e)
     return total
 
 
@@ -567,10 +571,7 @@ def mainthm2_constraint(
             f"largest prime {primes[-1]} must be below c*p1 = {c * p1}"
         )
     lhs = Fraction(1, r)
-    p1_part = sum(
-        (k1_star(normalize_group([p1**e])) for e in by_prime[p1]), Fraction(0)
-    )
-    lhs += p1_part / p1
+    lhs += sum(k1_star_term(p1, e) for e in by_prime[p1]) / p1
     cp1 = c * p1
     for p in primes[1:]:
         for e in by_prime[p]:

@@ -3,17 +3,21 @@
 Bound expressions are a rational part plus rational multiples of log2(q) and
 ln(q) for positive rational q. Powers of two fold into the rational part, so
 exact comparisons stay exact; everything else is certified by interval
-arithmetic with escalating precision (64 to 16384 bits). A comparison never
+arithmetic with escalating precision (128 to 16384 bits). A comparison never
 returns an uncertified verdict.
 
-An enclosure is an outward (lo, hi) pair of raw mpf values made with
-mpmath's low-level kernel, ``mpmath.libmp``: each rational is rounded down
-and up, and logarithms, products and sums round outward. No mpmath context
-is used, so no global precision is read or set. Each bound memoizes its
-enclosures per precision, so comparing it with several rationals and then
-rounding it up builds each enclosure once; the memo takes no part in
-``==``, ``hash`` or ``repr``. mpmath is imported on first interval use, so
-building and adding bounds, and exact comparisons, never load it.
+An enclosure at p bits is a pair of ints (lo, hi) with
+lo * 2**-p <= value <= hi * 2**-p. Rationals are enclosed by floor and
+ceiling division; each logarithm comes from ``mpmath.libmp.mpf_log`` rounded
+down and up, and ln 2 from ``mpf_ln2``, so mpmath's correctly rounded kernel
+is the only floating-point part. Products with the coefficients, sums and the
+division by ln 2 are integer floor and ceiling operations. No mpmath context
+is used, so no global precision is read or set. A comparison with a rational
+n/d is an exact cross-multiplication, ``lo * d > n << p``. Each bound
+memoizes its enclosures per precision, so comparing it with several
+rationals and then rounding it up builds one enclosure; the memo takes no
+part in ``==``, ``hash`` or ``repr``. mpmath is imported on first interval
+use, so building and adding bounds, and exact comparisons, never load it.
 """
 
 from __future__ import annotations
@@ -25,11 +29,15 @@ from typing import Iterable
 
 from .errors import CertificationError, DomainError
 
-_START_PREC = 64
+# Certification starts at the precision upper_rational reads, so a bound
+# that is compared and then rounded builds one enclosure.
+_MIN_PREC = 128
 _MAX_PREC = 16384
-# upper_rational reads the 128-bit enclosure and scales it by 10**digits,
-# itself rounded outward, at 53 bits; finer scaling changes its digits.
-_UPPER_PREC = 128
+# Enclosures are built this many bits finer and rounded outward at the end,
+# so each is at most two units of 2**-p wide.
+_GUARD = 32
+# upper_rational scales the 128-bit upper end by 10**digits, itself rounded
+# outward, at 53 bits; finer scaling changes its digits.
 _SCALE_PREC = 53
 
 Terms = tuple[tuple[Fraction, Fraction], ...]  # (coefficient, argument)
@@ -58,46 +66,67 @@ def _normalize_merge(terms: Iterable[tuple[Fraction, Fraction]], log: str) -> Te
     return tuple(out)
 
 
-def _rational(q: Fraction, prec: int) -> tuple:
-    """Outward enclosure of a rational at ``prec`` bits; integers are exact."""
-    import mpmath.libmp as libmp
-
-    p, d = q.numerator, q.denominator
-    if d == 1:
-        x = libmp.from_int(p)
-        return x, x
-    return (
-        libmp.from_rational(p, d, prec, libmp.round_floor),
-        libmp.from_rational(p, d, prec, libmp.round_ceiling),
-    )
+def _ceil_div(num: int, den: int) -> int:
+    return -(-num // den)
 
 
-def _log_sum(terms: Terms, prec: int) -> tuple:
-    """Outward enclosure of the sum of coeff * ln(arg)."""
-    import mpmath.libmp as libmp
+def _round_up(v: int, bits: int) -> int:
+    """v rounded toward +infinity to ``bits`` significant bits."""
+    shift = abs(v).bit_length() - bits
+    if shift <= 0:
+        return v
+    return -((-v >> shift) << shift)
 
-    acc = (libmp.fzero, libmp.fzero)
+
+def _log_sum(terms: Terms, logs: dict) -> tuple[int, int]:
+    """Enclosure of the sum of coeff * ln(arg), at the scale of ``logs``."""
+    lo = hi = 0
     for coeff, arg in terms:
-        log = libmp.mpi_log(_rational(arg, prec), prec)
-        acc = libmp.mpi_add(acc, libmp.mpi_mul(_rational(coeff, prec), log, prec), prec)
-    return acc
+        a, b = coeff.numerator, coeff.denominator
+        ln_lo, ln_hi = logs[arg]
+        if a < 0:
+            ln_lo, ln_hi = ln_hi, ln_lo
+        lo += a * ln_lo // b
+        hi += _ceil_div(a * ln_hi, b)
+    return lo, hi
 
 
-def _enclose(bound: "LogBound", prec: int) -> tuple:
-    """Outward (lo, hi) enclosure of a bound's value at ``prec`` bits."""
-    import mpmath.libmp as libmp
+def _enclose(bound: "LogBound", prec: int) -> tuple[int, int]:
+    """(lo, hi) with lo * 2**-prec <= value <= hi * 2**-prec.
 
-    acc = _rational(bound.exact, prec)
+    Built at ``_GUARD`` more bits and rounded outward at the end. Each
+    distinct argument is enclosed once, so the ln |G| of the Gao-Wang bound
+    serves both of its terms.
+    """
+    from mpmath.libmp import from_rational, mpf_ln2, mpf_log, mpf_neg, to_fixed
+    from mpmath.libmp import round_ceiling as up, round_floor as down
+
+    w = prec + _GUARD
+
+    def outward(lo: tuple, hi: tuple) -> tuple[int, int]:
+        """Floor of lo and ceiling of hi, raw mpf values, at ``w`` bits."""
+        return to_fixed(lo, w), -to_fixed(mpf_neg(hi), w)
+
+    logs = {}
+    for _, arg in bound.log2_terms + bound.ln_terms:
+        if arg not in logs:
+            p, d = arg.numerator, arg.denominator
+            logs[arg] = outward(
+                mpf_log(from_rational(p, d, w, down), w, down),
+                mpf_log(from_rational(p, d, w, up), w, up),
+            )
+    p, d = bound.exact.numerator, bound.exact.denominator
+    lo, hi = (p << w) // d, _ceil_div(p << w, d)
     if bound.log2_terms:
-        ln2 = (
-            libmp.mpf_ln2(prec, libmp.round_floor),
-            libmp.mpf_ln2(prec, libmp.round_ceiling),
-        )
-        logs = libmp.mpi_div(_log_sum(bound.log2_terms, prec), ln2, prec)
-        acc = libmp.mpi_add(acc, logs, prec)
+        ln2_lo, ln2_hi = outward(mpf_ln2(w, down), mpf_ln2(w, up))
+        s_lo, s_hi = _log_sum(bound.log2_terms, logs)
+        lo += (s_lo << w) // (ln2_hi if s_lo >= 0 else ln2_lo)
+        hi += _ceil_div(s_hi << w, ln2_lo if s_hi >= 0 else ln2_hi)
     if bound.ln_terms:
-        acc = libmp.mpi_add(acc, _log_sum(bound.ln_terms, prec), prec)
-    return acc
+        s_lo, s_hi = _log_sum(bound.ln_terms, logs)
+        lo += s_lo
+        hi += s_hi
+    return lo >> _GUARD, -(-hi >> _GUARD)
 
 
 @dataclass(frozen=True)
@@ -183,8 +212,8 @@ class LogBound:
 
     # -- certified comparisons ------------------------------------------
 
-    def _interval(self, prec: int) -> tuple:
-        """Outward (lo, hi) enclosure at ``prec`` bits, built once per precision."""
+    def _interval(self, prec: int) -> tuple[int, int]:
+        """Fixed-point enclosure at ``prec`` bits, built once per precision."""
         box = self._enclosures.get(prec)
         if box is None:
             box = self._enclosures[prec] = _enclose(self, prec)
@@ -192,15 +221,13 @@ class LogBound:
 
     def _certify(self, q: Fraction) -> int:
         """Certified sign of self - q for non-exact self, without building it."""
-        from mpmath.libmp import mpf_cmp
-
-        prec = _START_PREC
+        num, den = q.numerator, q.denominator
+        prec = _MIN_PREC
         while prec <= _MAX_PREC:
             lo, hi = self._interval(prec)
-            q_lo, q_hi = _rational(q, prec)
-            if mpf_cmp(lo, q_hi) > 0:
+            if lo * den > num << prec:
                 return 1
-            if mpf_cmp(hi, q_lo) < 0:
+            if hi * den < num << prec:
                 return -1
             prec *= 2
         raise CertificationError(f"cannot certify the sign of {self - q!r}")
@@ -214,6 +241,8 @@ class LogBound:
     def compare(self, other: "LogBound | Fraction | int") -> int:
         if isinstance(other, LogBound):
             if not other.is_exact:
+                if self.is_exact:
+                    return -other._certify(self.exact)
                 return (self - other).sign()
             other = other.exact
         q = Fraction(other)
@@ -237,15 +266,16 @@ class LogBound:
         """A certified rational upper bound, rounded outward to 10^-digits."""
         if self.is_exact:
             return self.exact
-        from mpmath.libmp import from_int, mpi_mul, round_ceiling, round_floor, to_int
-
+        _, hi = self._interval(_MIN_PREC)
         scale = 10**digits
-        scale_box = (
-            from_int(scale, _SCALE_PREC, round_floor),
-            from_int(scale, _SCALE_PREC, round_ceiling),
-        )
-        _, hi = mpi_mul(self._interval(_UPPER_PREC), scale_box, _SCALE_PREC)
-        return Fraction(to_int(hi, round_ceiling), scale)
+        # The upper end of hi * [scale rounded down, up] at _SCALE_PREC bits,
+        # rounded up at that precision, then its ceiling.
+        if hi > 0:
+            factor = _round_up(scale, _SCALE_PREC)
+        else:
+            factor = -_round_up(-scale, _SCALE_PREC)
+        top = _round_up(hi * factor, _SCALE_PREC)
+        return Fraction(-(-top >> _MIN_PREC), scale)
 
     def __repr__(self) -> str:
         parts = [str(self.exact)]

@@ -4,9 +4,9 @@ The direct form: every enclosure is an ``iv`` interval built at the
 context's precision (set for the call and restored), each rational is the
 quotient of its outward-rounded numerator and denominator, and a bound is
 compared with another by certifying the sign of their difference. The
-library builds raw ``mpmath.libmp`` enclosures instead and compares a bound
-with a rational directly; the tests require both to give the same verdicts
-and the same ``upper_rational`` digits.
+library builds fixed-point integer enclosures instead and compares a bound
+with a rational by exact cross-multiplication; the tests require both to
+give the same verdicts and the same ``upper_rational`` digits.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from zerosums.errors import ResourceLimitError
 from zerosums.groups import FiniteAbelianGroup, kernel_elements
 
 
@@ -49,28 +48,6 @@ def subset_sums(codes: Sequence[int], add) -> list[int]:
 
 def zero_sum_masks_direct(codes: Sequence[int], add) -> list[int]:
     return [m for m, s in enumerate(subset_sums(codes, add)) if s == 0]
-
-
-def zero_sum_masks_mitm(codes: Sequence[int], add, neg, cap: int) -> list[int]:
-    h = len(codes) // 2
-
-    def half_sums(cs: Sequence[int]) -> dict[int, list[int]]:
-        by_sum: dict[int, list[int]] = {}
-        for mask, s in enumerate(subset_sums(cs, add)):
-            by_sum.setdefault(s, []).append(mask)
-        return by_sum
-
-    lo = half_sums(codes[:h])
-    hi = half_sums(codes[h:])
-    out = []
-    for s, masks_lo in lo.items():
-        for a in masks_lo:
-            for b in hi.get(neg[s], ()):
-                out.append(a | (b << h))
-                if len(out) > cap:
-                    raise ResourceLimitError(f"more than {cap} zero-sum subsets")
-    out.sort()
-    return out
 
 
 def minimal_masks(zs_masks: Sequence[int]) -> list[int]:

@@ -40,7 +40,7 @@ from zerosums.errors import (
     LemmaNotApplicableError,
     ResourceLimitError,
 )
-from zerosums.groups import group_table, is_prime
+from zerosums.groups import abelian_groups_up_to, group_table, is_prime, prime_stats
 from zerosums.invariants import INVARIANTS, InvariantResult, from_record, to_record
 from zerosums.logbounds import LogBound
 
@@ -56,6 +56,21 @@ def test_k1_star_examples():
     assert k1_star(G(8)) == Fraction(7, 4)
     assert k1_star(trivial_group()) == 0
     assert k1_star(G(12)) == Fraction(5, 2)
+
+
+def test_k1_star_terms_on_every_group_to_200():
+    # Each component C_{p^e} adds 1 + 1/p + ... + 1/p^(e-1); the threshold
+    # weighs the K1* of each component group by p_minus / p.
+    for group in abelian_groups_up_to(200):
+        parts = group.primary_components
+        geometric = sum(Fraction(1, p**i) for p, e in parts for i in range(e))
+        assert k1_star(group) == geometric, group
+        if group.is_trivial:
+            continue
+        p_minus = prime_stats(group.order)[0]
+        assert size_limit_threshold(group) == sum(
+            Fraction(p_minus, p) * k1_star(G(p**e)) for p, e in parts
+        ), group
 
 
 def test_k1_star_additive_over_direct_sums():

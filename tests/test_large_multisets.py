@@ -82,7 +82,7 @@ def test_zero_sum_subsets_size_cap():
         zero_sum_subsets(big)
 
 
-def test_mitm_listing_matches_direct_scan():
+def test_support_walk_listing_matches_direct_scan():
     group = normalize_group([6])
     elements = [[1], [2], [3], [4], [5], [1], [2], [3]]
     s = IndexedMultiset.from_elements(group, elements)
@@ -91,5 +91,5 @@ def test_mitm_listing_matches_direct_scan():
     direct = {
         frozenset(labels[i] for i in range(len(labels)) if m >> i & 1) for m in masks
     }
-    mitm = {frozenset(sub.labels) for sub in zero_sum_subsets(s)}
-    assert direct == mitm
+    listed = {frozenset(sub.labels) for sub in zero_sum_subsets(s)}
+    assert direct == listed

@@ -12,7 +12,7 @@ from zerosums.errors import (
 )
 from zerosums.groups import abelian_groups_up_to, normalize_group
 from zerosums.invariants import lowest_order_bound, mainthm2_constraint, upper_bounds
-from zerosums.logbounds import LogBound
+from zerosums.logbounds import LogBound, _enclose
 
 
 def test_power_of_two_arguments_fold_to_exact():
@@ -147,7 +147,7 @@ def test_bounds_sequence_builds_each_enclosure_once(monkeypatch):
     # bound, then the six-digit upper bound.
     assert gw > 7 and gw < 8 and gap > 3 and gap < 4
     assert gw.upper_rational() == Fraction(7361629, 1000000)
-    assert builds == {(gw, 64): 1, (gap, 64): 1, (gw, 128): 1}
+    assert builds == {(gw, 128): 1, (gap, 128): 1}
     assert gw.upper_rational(12) > 7 and gw > Fraction(73, 10) and gap < 4
     assert set(builds.values()) == {1}
 
@@ -220,6 +220,29 @@ def test_planted_rationals_match_iv_reference(values_near, gap):
         for q, side in ((value - gap, 1), (value + gap, -1)):
             assert bound.compare(q) == reference.compare(bound, q) == side, (bound, q)
             assert (bound - q).sign() == reference.sign(bound - q) == side
+
+
+@pytest.mark.parametrize("prec", [128, 256, 1024])
+def test_fixed_point_enclosures_hold_the_value(values_near, prec):
+    slack = Fraction(1, 2**1000)  # how far values_near may lie from the value
+    for bound, value in values_near:
+        lo, hi = _enclose(bound, prec)
+        assert Fraction(lo, 2**prec) <= value + slack, (bound, prec)
+        assert Fraction(hi, 2**prec) >= value - slack, (bound, prec)
+        assert hi - lo <= 2, (bound, prec, hi - lo)
+
+
+def test_exact_side_certifies_on_the_log_side(monkeypatch):
+    sides = list(constraint_sides())
+
+    def no_difference(self, other):
+        raise AssertionError(f"built {self!r} - {other!r}")
+
+    monkeypatch.setattr(LogBound, "__sub__", no_difference)
+    for check, lhs, rhs in sides:
+        verdict = lhs.compare(rhs)
+        assert verdict == -rhs.compare(lhs) == -rhs.compare(check.lhs)
+        assert (check.holds, check.strict) == (verdict >= 0, verdict > 0)
 
 
 def test_constraint_sides_match_iv_reference():

@@ -89,12 +89,14 @@ def reference_label_sets(ms, masks):
 
 
 def check_subsets(ms):
-    labels, codes = reference.codes_of(ms)
-    add, neg, _ = reference.tables(ms.group)
-    expected = reference.zero_sum_masks_direct(codes, add)
+    _, codes = reference.codes_of(ms)
+    sums = reference.subset_sums(codes, reference.tables(ms.group)[0])
+    expected = [m for m, s in enumerate(sums) if s == 0]
     assert label_sets(zero_sum_subsets(ms)) == reference_label_sets(ms, expected)
-    mitm = reference.zero_sum_masks_mitm(codes, add, neg, config.SUBSET_OUTPUT_CAP)
-    assert mitm == expected
+    table = group_table(ms.group)
+    for t in set(sums):
+        with_sum_t = [m for m, s in enumerate(sums) if s == t]
+        assert masks_with_sum(t, codes, table) == with_sum_t
 
 
 def check_factorizations(ms):
