@@ -4,147 +4,31 @@ Davenport and Narkiewicz constants, cross numbers over atoms and zero-sum
 free multisets, and the maximum cross number over unique-factorization
 multisets, computed exactly with witnesses, plus the matching closed-form
 evaluators, extremal constructions, and a verification harness.
+
+Each public name is declared once, in the ``__all__`` of the module that
+defines it; the package re-exports those lists.
 """
 
-from .atoms import AtomCatalog, atom_catalog, enumerate_atoms, max_zero_sum_free_cross
-from .constructions import (
-    DecompositionResult,
-    construction4_decompose,
-    direct_sum_union,
-    extremal_ufim,
-    extremal_zero_sum_free,
-    gao_wang_extremal,
-    phiunique_consequences,
-)
-from .errors import ZerosumsError
-from .factorization import (
-    Factorization,
-    count_factorizations,
-    is_minimal_zero_sum,
-    is_ufim,
-    is_ufim_by_intersection,
-    is_zero_sum,
-    is_zero_sum_free,
-    unique_factorization,
-    zero_sum_subsets,
-)
-from .groups import (
-    Element,
-    FiniteAbelianGroup,
-    Homomorphism,
-    abelian_groups_of_order,
-    element_order,
-    kernel_elements,
-    kernel_structure,
-    make_hom,
-    multiplication_hom,
-    normalize_group,
-    prime_stats,
-    projection_hom,
-    quotient_structure,
-    reduction_hom,
-    trivial_group,
-)
-from .invariants import (
-    Budget,
-    ConstraintCheck,
-    FamilyReport,
-    InvariantResult,
-    K_star,
-    big_cross_K,
-    check_size_limit,
-    d_star,
-    davenport,
-    family_membership,
-    k1,
-    k1_star,
-    k_star,
-    little_cross_k,
-    lowest_order_bound,
-    m_p1_of,
-    mainthm2_constraint,
-    n1_star,
-    narkiewicz_n1,
-    quotient_bound,
-    size_limit_threshold,
-    upper_bounds,
-    verify_family,
-)
-from .multisets import (
-    IndexSubset,
-    IndexedMultiset,
-    apply_hom,
-    cross_number,
-    disjoint_union,
-    sigma,
-)
+from .atoms import *
+from .constructions import *
+from .errors import *
+from .factorization import *
+from .formulas import *
+from .groups import *
+from .invariants import *
+from .multisets import *
+from .search import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomCatalog",
-    "Budget",
-    "ConstraintCheck",
-    "DecompositionResult",
-    "Element",
-    "Factorization",
-    "FamilyReport",
-    "FiniteAbelianGroup",
-    "Homomorphism",
-    "IndexSubset",
-    "IndexedMultiset",
-    "InvariantResult",
-    "K_star",
-    "ZerosumsError",
-    "abelian_groups_of_order",
-    "apply_hom",
-    "atom_catalog",
-    "big_cross_K",
-    "check_size_limit",
-    "construction4_decompose",
-    "count_factorizations",
-    "cross_number",
-    "d_star",
-    "davenport",
-    "direct_sum_union",
-    "disjoint_union",
-    "element_order",
-    "enumerate_atoms",
-    "extremal_ufim",
-    "extremal_zero_sum_free",
-    "family_membership",
-    "gao_wang_extremal",
-    "is_minimal_zero_sum",
-    "is_ufim",
-    "is_ufim_by_intersection",
-    "is_zero_sum",
-    "is_zero_sum_free",
-    "k1",
-    "k1_star",
-    "k_star",
-    "kernel_elements",
-    "kernel_structure",
-    "little_cross_k",
-    "lowest_order_bound",
-    "m_p1_of",
-    "mainthm2_constraint",
-    "make_hom",
-    "max_zero_sum_free_cross",
-    "multiplication_hom",
-    "n1_star",
-    "narkiewicz_n1",
-    "normalize_group",
-    "phiunique_consequences",
-    "prime_stats",
-    "projection_hom",
-    "quotient_bound",
-    "quotient_structure",
-    "reduction_hom",
-    "sigma",
-    "size_limit_threshold",
-    "trivial_group",
-    "unique_factorization",
-    "upper_bounds",
-    "verify_family",
-    "zero_sum_subsets",
+    *atoms.__all__,
+    *constructions.__all__,
+    *errors.__all__,
+    *factorization.__all__,
+    *formulas.__all__,
+    *groups.__all__,
+    *invariants.__all__,
+    *multisets.__all__,
+    *search.__all__,
 ]

@@ -32,6 +32,13 @@ from .errors import ResourceLimitError
 from .groups import Element, FiniteAbelianGroup, group_table
 from .multisets import IndexedMultiset
 
+__all__ = [
+    "AtomCatalog",
+    "atom_catalog",
+    "enumerate_atoms",
+    "max_zero_sum_free_cross",
+]
+
 
 @dataclass(frozen=True)
 class AtomCatalog:

@@ -33,7 +33,6 @@ from .groups import (
 from .invariants import (
     INVARIANTS,
     THEOREMS,
-    Budget,
     InvariantResult,
     _log_bounds,
     big_cross_K,
@@ -50,7 +49,7 @@ from .reports import (
     render_family_report,
     render_invariant_table,
 )
-from .search import SearchStats
+from .search import Budget, SearchStats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -224,18 +223,32 @@ def cmd_decompose(args) -> int:
     ker = kernel_structure(phi)
     quot = quotient_structure(phi)
 
-    def known(name: str, compute, group) -> Fraction | None:
-        """The invariant, or None (with a note) when it is past a cap."""
+    budget = _budget(args)
+    stopped = False
+
+    def known(name: str, compute, group, **options) -> Fraction | None:
+        """The invariant, or None (with a note) when it is past a cap or its
+        search stopped on the budget."""
+        nonlocal stopped
         try:
-            return compute(group, cache=cache).value
+            result = compute(group, cache=cache, **options)
         except ResourceLimitError as exc:
             print(f"note: {name} not computed: {exc}", file=sys.stderr)
             return None
+        if not result.complete:
+            stopped = True
+            print(
+                f"note: {name} not computed: the search stopped on the budget "
+                f"after {result.stats.nodes} nodes",
+                file=sys.stderr,
+            )
+            return None
+        return result.value
 
     parts = {
-        "K1_kernel": known("K1 of the kernel", k1, ker),
-        "N1_kernel": known("N1 of the kernel", narkiewicz_n1, ker),
-        "K1_quotient": known("K1 of the quotient", k1, quot),
+        "K1_kernel": known("K1 of the kernel", k1, ker, budget=budget),
+        "N1_kernel": known("N1 of the kernel", narkiewicz_n1, ker, budget=budget),
+        "K1_quotient": known("K1 of the quotient", k1, quot, budget=budget),
         "K_quotient": known("K of the quotient", big_cross_K, quot),
     }
     rows = phiunique_consequences(decomposition, parts)
@@ -269,7 +282,9 @@ def cmd_decompose(args) -> int:
                 f"  [{mark}] ({r['item']}) {r['statement']}: "
                 f"{format_value(r['lhs'])} <= {rhs(r)}"
             )
-    return EXIT_OK if ok else EXIT_VERIFY
+    if not ok:
+        return EXIT_VERIFY
+    return EXIT_BUDGET if stopped else EXIT_OK
 
 
 def cmd_catalog(args) -> int:

@@ -34,6 +34,16 @@ from .multisets import (
     sigma,
 )
 
+__all__ = [
+    "DecompositionResult",
+    "construction4_decompose",
+    "direct_sum_union",
+    "extremal_ufim",
+    "extremal_zero_sum_free",
+    "gao_wang_extremal",
+    "phiunique_consequences",
+]
+
 
 def _gao_wang_values(p: int, m: int) -> list[int]:
     """Residues of the maximal-cross tower over C_{p^m} with generator 1."""
@@ -127,19 +137,10 @@ def direct_sum_union(
     a union of two unique-factorization multisets factors uniquely (asserted).
     """
     g1, g2 = s1.group, s2.group
-    moduli = list(g1.invariant_factors) + list(g2.invariant_factors)
-    target, gen_images = product_presentation(moduli)
-
-    def embed(ms: IndexedMultiset, offset: int) -> list[Element]:
-        out = []
-        for el in ms.elements():
-            acc = target.zero()
-            for j, r in enumerate(el):
-                acc = target.add(acc, target.scale(r, gen_images[offset + j]))
-            out.append(acc)
-        return out
-
-    elements = embed(s1, 0) + embed(s2, g1.rank)
+    target, images = product_presentation(g1.invariant_factors + g2.invariant_factors)
+    first = Homomorphism(g1, target, images[: g1.rank])
+    second = Homomorphism(g2, target, images[g1.rank :])
+    elements = [*map(first._apply, s1.elements()), *map(second._apply, s2.elements())]
     out = IndexedMultiset.from_elements(
         target, elements, max_size=len(elements)
     )

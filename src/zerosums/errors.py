@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CacheError",
+    "CertificationError",
+    "ConstraintInapplicableError",
+    "DomainError",
+    "IllDefinedHomomorphismError",
+    "InvalidModulusError",
+    "LemmaNotApplicableError",
+    "NotUniqueFactorizationError",
+    "OracleDisagreementError",
+    "PreconditionError",
+    "ResourceLimitError",
+    "ZerosumsError",
+]
+
 
 class ZerosumsError(Exception):
     """Base class for errors raised by this package."""

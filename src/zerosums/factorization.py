@@ -54,6 +54,18 @@ from .errors import (
 from .groups import group_table
 from .multisets import IndexedMultiset, IndexSubset, element_sum, sigma
 
+__all__ = [
+    "Factorization",
+    "count_factorizations",
+    "is_minimal_zero_sum",
+    "is_ufim",
+    "is_ufim_by_intersection",
+    "is_zero_sum",
+    "is_zero_sum_free",
+    "unique_factorization",
+    "zero_sum_subsets",
+]
+
 
 @dataclass(frozen=True)
 class Factorization:

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 from .groups import FiniteAbelianGroup
 
+__all__ = ["K_star", "d_star", "k1_star", "k_star", "n1_star"]
+
 
 def k1_star_term(p: int, e: int) -> Fraction:
     """The K1* summand of a prime-power component C_{p^e}:

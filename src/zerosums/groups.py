@@ -22,6 +22,24 @@ from .errors import (
     InvalidModulusError,
 )
 
+__all__ = [
+    "Element",
+    "FiniteAbelianGroup",
+    "Homomorphism",
+    "abelian_groups_of_order",
+    "element_order",
+    "kernel_elements",
+    "kernel_structure",
+    "make_hom",
+    "multiplication_hom",
+    "normalize_group",
+    "prime_stats",
+    "projection_hom",
+    "quotient_structure",
+    "reduction_hom",
+    "trivial_group",
+]
+
 Element = tuple[int, ...]
 
 
@@ -524,7 +542,11 @@ class GroupTable:
         """Replace ``neg``, ``order`` and ``rotations`` by tuples over every
         code, for callers that read every code many times (atom enumeration,
         the unique-factorization search): a tuple indexes in about half the
-        time of a memo."""
+        time of a memo.
+
+        A filled table reads codes 0..n-1 without a check: -1 reads the last
+        entry, where the memo raises IndexError. Its callers pass only codes
+        of elements, under the precondition of ``encode_all``."""
         if isinstance(self.rotations, tuple):
             return
         codes = range(self.n)

@@ -1,8 +1,8 @@
-"""Exact zero-sum invariants: searches, formula evaluators, and bounds.
+"""Exact zero-sum invariants: searches and bounds.
 
 Search invariants (D, N1, K, k, K1) come with a witness that reproduces the
-value, deterministic statistics, and optional persistent caching. Formula
-evaluators are re-exported from the closed-form module. Bound evaluators mix
+value, deterministic statistics, and optional persistent caching. The closed
+forms they are checked against live in ``formulas``. Bound evaluators mix
 exact rationals with certified interval comparisons for logarithm terms.
 """
 
@@ -52,29 +52,23 @@ from .multisets import IndexedMultiset, cross_number, to_lists
 from .search import Budget, SearchStats, maximize_over_ufims
 
 __all__ = [
-    "Budget",
     "ConstraintCheck",
     "FamilyReport",
     "INVARIANTS",
     "InstanceCheck",
     "Invariant",
     "InvariantResult",
-    "K_star",
     "THEOREMS",
     "big_cross_K",
     "check_size_limit",
-    "d_star",
     "davenport",
     "family_membership",
     "from_record",
     "k1",
-    "k1_star",
-    "k_star",
     "little_cross_k",
     "lowest_order_bound",
     "m_p1_of",
     "mainthm2_constraint",
-    "n1_star",
     "narkiewicz_n1",
     "quotient_bound",
     "size_limit_threshold",

@@ -15,6 +15,15 @@ from . import config
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .groups import Element, FiniteAbelianGroup, Homomorphism
 
+__all__ = [
+    "IndexSubset",
+    "IndexedMultiset",
+    "apply_hom",
+    "cross_number",
+    "disjoint_union",
+    "sigma",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class IndexedMultiset:

@@ -37,6 +37,8 @@ from .atoms import AtomCatalog, scaled_crosses
 from .errors import DomainError
 from .groups import FiniteAbelianGroup, group_table
 
+__all__ = ["Budget"]
+
 
 @dataclass
 class Budget:

@@ -16,7 +16,7 @@ from zerosums import (
     trivial_group,
 )
 from zerosums.errors import ResourceLimitError
-from zerosums.invariants import d_star
+from zerosums.formulas import d_star
 
 
 def brute_force_atoms(group, max_len):

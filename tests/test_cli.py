@@ -230,6 +230,47 @@ def test_decompose_prints_rows_whose_invariants_are_past_a_cap(tmp_path, capsys)
     assert "[-] (1)" in out and "[pass] (5)" in out
 
 
+def test_decompose_treats_a_search_stopped_on_the_budget_as_unknown(
+    tmp_path, capsys, monkeypatch
+):
+    # proj:1 on C_2+C_16 has kernel C_2 and quotient C_16. One node is
+    # enough for the kernel searches and too few for K1 of the quotient, so
+    # only the rows that need it (5, and 7 as t = 0) lose their right side.
+    monkeypatch.delenv("ZEROSUMS_CACHE_DIR", raising=False)
+    group = normalize_group([2, 16])
+    elements = [list(e) for e in extremal_ufim(group).elements()]
+    path = tmp_path / "ms.json"
+    path.write_text(json.dumps({"group": "2,16", "elements": elements}))
+    argv = ["decompose", "--multiset", str(path), "--hom", "proj:1", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert all(r["passed"] for r in json.loads(out)["consequences"])
+
+    code, out, err = run(capsys, *argv, "--budget-nodes", "1")
+    assert code == 3
+    rows = json.loads(out)["consequences"]
+    assert [(r["item"], r["passed"], r["rhs"]) for r in rows] == [
+        (1, True, "1"), (2, True, "2"), (3, True, "23/8"), (4, True, "23/8"),
+        (5, None, "-"), (7, None, "-"),
+    ]
+    assert err == (
+        "note: K1 of the quotient not computed: the search stopped on the "
+        "budget after 1 nodes\n"
+    )
+    code, out, _ = run(capsys, *argv[:-2], "--budget-nodes", "1")
+    assert code == 3
+    assert "[-] (5)" in out and "[pass] (4)" in out
+
+    # A failing row outranks the stopped search.
+    def failing(decomposition, parts):
+        return [{"item": 1, "statement": "s", "lhs": Fraction(2), "rhs": Fraction(1),
+                 "passed": False}]
+
+    monkeypatch.setattr(cli, "phiunique_consequences", failing)
+    code, _, _ = run(capsys, *argv, "--budget-nodes", "1")
+    assert code == 4
+
+
 GOOD_MULTISET = '{"group": "4", "elements": [[1], [3]]}'
 
 

@@ -1,13 +1,17 @@
 """A CLI process loads only what its command runs: mpmath for certified log
 bounds, on first use. Searches run on one thread whatever ``workers`` says,
 and no module of the package imports concurrent.futures, threading or
-multiprocessing."""
+multiprocessing. Each public name is declared once, in the ``__all__`` of
+the module that defines it, and the package re-exports those lists."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import zerosums
@@ -108,3 +112,65 @@ def test_package_imports_no_thread_or_process_pool():
             if any(name == m or name.startswith(m + ".") for m in POOL_MODULES):
                 offenders.append(f"{path.name}: {name}")
     assert offenders == []
+
+
+# -- the package surface ------------------------------------------------------
+
+# The names the package exported before each module declared its own; each
+# must stay exported, as the object its defining module binds.
+EXPORTED = (
+    "AtomCatalog", "Budget", "ConstraintCheck", "DecompositionResult", "Element",
+    "Factorization", "FamilyReport", "FiniteAbelianGroup", "Homomorphism",
+    "IndexSubset", "IndexedMultiset", "InvariantResult", "K_star", "ZerosumsError",
+    "abelian_groups_of_order", "apply_hom", "atom_catalog", "big_cross_K",
+    "check_size_limit", "construction4_decompose", "count_factorizations",
+    "cross_number", "d_star", "davenport", "direct_sum_union", "disjoint_union",
+    "element_order", "enumerate_atoms", "extremal_ufim", "extremal_zero_sum_free",
+    "family_membership", "gao_wang_extremal", "is_minimal_zero_sum", "is_ufim",
+    "is_ufim_by_intersection", "is_zero_sum", "is_zero_sum_free", "k1", "k1_star",
+    "k_star", "kernel_elements", "kernel_structure", "little_cross_k",
+    "lowest_order_bound", "m_p1_of", "mainthm2_constraint", "make_hom",
+    "max_zero_sum_free_cross", "multiplication_hom", "n1_star", "narkiewicz_n1",
+    "normalize_group", "phiunique_consequences", "prime_stats", "projection_hom",
+    "quotient_bound", "quotient_structure", "reduction_hom", "sigma",
+    "size_limit_threshold", "trivial_group", "unique_factorization",
+    "upper_bounds", "verify_family", "zero_sum_subsets",
+)
+
+
+def declaring_modules():
+    """Every module of the package that declares an ``__all__``."""
+    package = Path(zerosums.__file__).resolve().parent
+    names = sorted(p.stem for p in package.glob("*.py") if not p.stem.startswith("_"))
+    modules = [importlib.import_module(f"zerosums.{name}") for name in names]
+    return [m for m in modules if hasattr(m, "__all__")]
+
+
+def test_every_exported_name_is_the_object_its_module_binds():
+    assert len(EXPORTED) == 65
+    owner = {name: m for m in declaring_modules() for name in m.__all__}
+    for name in EXPORTED:
+        assert name in zerosums.__all__, name
+        assert getattr(zerosums, name) is getattr(owner[name], name), name
+
+
+def test_each_name_is_declared_by_one_module():
+    declared = Counter(name for m in declaring_modules() for name in m.__all__)
+    assert [name for name, n in declared.items() if n > 1] == []
+    assert sorted(zerosums.__all__) == sorted(declared)
+
+
+def test_a_module_declares_only_the_functions_and_classes_it_defines():
+    for module in declaring_modules():
+        for name in module.__all__:
+            # unwrap: a memoized function is a wrapper around one.
+            obj = inspect.unwrap(getattr(module, name))
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, f"{module.__name__}.{name}"
+
+
+def test_star_import_binds_exactly_the_package_list():
+    namespace: dict = {}
+    exec("from zerosums import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(zerosums.__all__)

@@ -125,6 +125,11 @@ def test_tables_match_pairwise_construction(group):
         assert table.encode(el) == c and table.decode(c) == el
         assert (table.neg[c], table.order[c]) == (neg[c], order[c])
     assert table.encode_all(elements) == list(range(table.n))
+    # Only a filled table reads a code outside 0..n-1 without a check.
+    for memo in (table.neg, table.order, table.rotations):
+        for code in (-1, table.n):
+            with pytest.raises(IndexError, match="is not an element code"):
+                memo[code]
     memo = table.rotations
     table.fill_all()
     assert (table.neg, table.order) == (neg, order)
