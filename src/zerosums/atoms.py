@@ -12,8 +12,12 @@ A catalog holds every atom of its group, each as its ascending codes and,
 from the support at its emission, the mask of its proper nonempty subset
 sums: the crossing mask the unique-factorization search (``search``) tests
 against. Elements are decoded only for ``AtomCatalog.atoms()`` and for
-witnesses. Cross numbers are summed as integers scaled by exp(G)
-(``scaled_crosses``) and become a Fraction once, for the result.
+witnesses.
+
+A measure, size or cross number, is an integer weight per element code
+over a scale (``code_weights``): the measure of a sequence is the sum of
+its codes' weights, and becomes a Fraction once, over the scale, for the
+result.
 
 Catalogs live in memory only, one per group for the life of the process
 (``atom_catalog``). They are never written to disk: a catalog read back
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Literal
 
 from . import config
 from .errors import ResourceLimitError
@@ -56,10 +60,6 @@ class AtomCatalog:
     @property
     def count(self) -> int:
         return len(self.codes)
-
-    @property
-    def max_atom_length(self) -> int:
-        return len(self.codes[-1]) if self.codes else 0
 
     def atoms(self) -> Iterator[tuple[Element, ...]]:
         """Atoms as elements, ordered by (length, elements)."""
@@ -149,20 +149,19 @@ def clear_catalog_memory() -> None:
 
 
 def max_zero_sum_free_cross(
-    group: FiniteAbelianGroup, catalog: AtomCatalog | None = None
+    group: FiniteAbelianGroup,
 ) -> tuple[Fraction, IndexedMultiset]:
     """Largest cross number of a zero-sum-free multiset, with a witness.
 
     Every zero-sum-free multiset extends to an atom by one element, so the
-    maximum is scanned as atom-minus-one-element; the witness is the
-    canonically least maximizer.
+    maximum is scanned as atom-minus-one-element over the group's catalog;
+    the witness is the canonically least maximizer.
     """
-    if catalog is None:
-        catalog = atom_catalog(group)
-    weight = cross_weights(group)
+    weight, scale = code_weights(group, "cross")
     best = 0
     best_witness: tuple[int, ...] = ()
-    for atom, total in zip(catalog.codes, scaled_crosses(catalog)):
+    for atom in atom_catalog(group).codes:
+        total = sum([weight[c] for c in atom])
         last = 0  # codes are ascending and nonzero: skip repeated ones
         for i, c in enumerate(atom):
             if c == last:
@@ -178,20 +177,21 @@ def max_zero_sum_free_cross(
     ms = _witness_from_codes(group, best_witness)
     if ms is None:  # no atoms: the empty multiset
         ms = IndexedMultiset(group, ())
-    return Fraction(best, group.exponent), ms
+    return Fraction(best, scale), ms
 
 
-def cross_weights(group: FiniteAbelianGroup) -> list[int]:
-    """exp(G) // ord(g) per element code: cross numbers scaled to integers."""
+def code_weights(
+    group: FiniteAbelianGroup, measure: Literal["size", "cross"]
+) -> tuple[list[int], int]:
+    """An integer weight per element code, and the scale: the measure of a
+    sequence is the sum of its codes' weights over the scale. Size weighs
+    every code 1 at scale 1; cross number weighs code g exp(G) // ord(g) at
+    scale exp(G)."""
+    if measure == "size":
+        return [1] * group.order, 1
     exp = group.exponent
     order = group_table(group).order
-    return [exp // order[c] for c in range(group.order)]
-
-
-def scaled_crosses(catalog: AtomCatalog) -> list[int]:
-    """Each atom's cross number scaled by exp(G), in catalog order."""
-    weight = cross_weights(catalog.group)
-    return [sum([weight[c] for c in atom]) for atom in catalog.codes]
+    return [exp // order[c] for c in range(group.order)], exp
 
 
 def _witness_from_codes(

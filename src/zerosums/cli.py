@@ -202,6 +202,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.max_size is not None and args.max_size < 0:
+        raise UsageError(f"--max-size must be at least 0, got {args.max_size}")
     try:
         payload = json.loads(Path(args.multiset).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -216,7 +218,9 @@ def cmd_decompose(args) -> int:
             'string "group" and a list "elements"'
         )
     group = parse_group_spec(payload["group"])
-    ms = IndexedMultiset.from_elements(group, payload["elements"])
+    ms = IndexedMultiset.from_elements(
+        group, payload["elements"], max_size=args.max_size
+    )
     phi = parse_hom_spec(group, args.hom)
     decomposition = construction4_decompose(ms, phi)
     cache = open_cache(args.cache_dir)
@@ -336,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget-nodes", type=int, default=None)
         p.add_argument("--budget-seconds", type=float, default=None)
-        p.add_argument("--max-size", type=int, default=None,
-                       help="size cap on multisets built from element lists "
-                       "or unions, and on zero-sum-subset listings")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility and ignored; "
                        "searches run on one thread")
@@ -374,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help='JSON file {"group": "4", "elements": [[1],[2],[3],[2]]}')
     p_dec.add_argument("--hom", required=True,
                        help="proj:IDX | mod:d1,d2,... | mul:K | images:TARGET:JSON")
+    p_dec.add_argument("--max-size", type=int, default=None,
+                       help="size cap on the multiset read from the file "
+                       "(default: config.MAX_MULTISET_SIZE)")
     common(p_dec)
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -387,12 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = config.MAX_MULTISET_SIZE, config.VERIFICATION_MODE
+    saved = config.VERIFICATION_MODE
     try:
-        if args.max_size is not None:
-            if args.max_size < 0:
-                raise UsageError(f"--max-size must be at least 0, got {args.max_size}")
-            config.MAX_MULTISET_SIZE = args.max_size
         if args.verify_mode:
             config.VERIFICATION_MODE = True
         return args.func(args)
@@ -406,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        config.MAX_MULTISET_SIZE, config.VERIFICATION_MODE = saved
+        config.VERIFICATION_MODE = saved
 
 
 if __name__ == "__main__":

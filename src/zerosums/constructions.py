@@ -25,7 +25,7 @@ from .groups import (
     normalize_group,
     product_presentation,
 )
-from .factorization import is_ufim, is_zero_sum_free, masks_with_sum
+from .factorization import is_ufim, is_zero_sum, is_zero_sum_free, masks_with_sum
 from .multisets import (
     IndexedMultiset,
     IndexSubset,
@@ -134,7 +134,8 @@ def direct_sum_union(
     """Embed both multisets on independent blocks of the direct sum.
 
     The ambient group is the normalized direct sum; cross numbers add, and
-    a union of two unique-factorization multisets factors uniquely (asserted).
+    a union of two unique-factorization multisets factors uniquely (asserted
+    when each nonempty summand is a zero-sum multiset that factors uniquely).
     """
     g1, g2 = s1.group, s2.group
     target, images = product_presentation(g1.invariant_factors + g2.invariant_factors)
@@ -144,11 +145,10 @@ def direct_sum_union(
     out = IndexedMultiset.from_elements(
         target, elements, max_size=len(elements)
     )
-    both_ufim = True
-    for part in (s1, s2):
-        if part.size and (part.has_zero or not is_ufim(part)):
-            both_ufim = False
-    if both_ufim:
+    if all(
+        not part.size or (is_zero_sum(part) and is_ufim(part))
+        for part in (s1, s2)
+    ):
         assert is_ufim(out), "union of unique-factorization multisets failed"
         assert cross_number(out) == cross_number(s1) + cross_number(s2)
     return out
@@ -205,9 +205,9 @@ def construction4_decompose(
 ) -> DecompositionResult:
     """Maximal packing of kernel-summing zero-sum-free subsets.
 
-    The packing size t is exact (branch and bound over candidate subsets with
-    memoized feasibility per remaining index mask); among maximal packings
-    the lexicographically least family of index sets is returned. The three
+    The packing size t is exact: one memo over the free index masks gives
+    the lexicographically least maximal family of candidate subsets, which
+    is returned. The three
     structural consequences (residue factors uniquely, its image factors
     uniquely over the quotient, kernel part plus packing sums factors
     uniquely over the kernel) are asserted.
@@ -253,29 +253,20 @@ def construction4_decompose(
             ]
     candidates.sort()
 
-    # Maximal packing count per free mask, then the lexicographically least
-    # maximal family, built by always trying the least usable candidate.
-    cand = tuple(candidates)
-
+    # The lexicographically least maximal family per free mask: the least
+    # usable candidate whose tail, the family of what it leaves free, is
+    # longest, followed by that tail.
     @lru_cache(maxsize=None)
-    def best_t(free: int) -> int:
-        best = 0
-        for c in cand:
+    def least_family(free: int) -> tuple[int, ...]:
+        best: tuple[int, ...] = ()
+        for c in candidates:
             if c & ~free == 0:
-                got = 1 + best_t(free ^ c)
-                if got > best:
-                    best = got
+                tail = least_family(free ^ c)
+                if len(tail) >= len(best):
+                    best = (c, *tail)
         return best
 
-    full = (1 << l) - 1
-    family: list[int] = []
-    free = full
-    while best_t(free):
-        for c in cand:
-            if c & ~free == 0 and 1 + best_t(free ^ c) == best_t(free):
-                family.append(c)
-                free ^= c
-                break
+    family = least_family((1 << l) - 1)
 
     def mask_labels(mask: int) -> frozenset[int]:
         return frozenset(rest[i] for i in range(l) if mask >> i & 1)

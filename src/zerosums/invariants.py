@@ -8,7 +8,6 @@ exact rationals with certified interval comparisons for logarithm terms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -18,8 +17,8 @@ from . import config, constructions
 from .atoms import (
     _witness_from_codes,
     atom_catalog,
+    code_weights,
     max_zero_sum_free_cross,
-    scaled_crosses,
 )
 from .cache import FORMAT_VERSION, ResultCache
 from .errors import (
@@ -273,38 +272,30 @@ def _lookup_or_compute(
 def davenport(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
-    """Longest atom (Davenport constant), with a longest atom as witness."""
-    return _lookup_or_compute(group, "D", cache, _longest_atom)
-
-
-def _longest_atom(group: FiniteAbelianGroup) -> tuple:
-    catalog = atom_catalog(group)
-    codes = catalog.codes
-    length = catalog.max_atom_length
-    witness = codes[bisect_left(codes, length, key=len)] if codes else ()
-    return (
-        Fraction(length),
-        _witness_from_codes(group, witness),
-        SearchStats(nodes=catalog.count),
-    )
+    """Longest atom (Davenport constant), with the least longest atom as
+    witness."""
+    return _lookup_or_compute(group, "D", cache, lambda g: _best_atom(g, "D"))
 
 
 def big_cross_K(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Maximum cross number over atoms, with a canonically least witness."""
-    return _lookup_or_compute(group, "K", cache, _largest_atom_cross)
+    return _lookup_or_compute(group, "K", cache, lambda g: _best_atom(g, "K"))
 
 
-def _largest_atom_cross(group: FiniteAbelianGroup) -> tuple:
+def _best_atom(group: FiniteAbelianGroup, invariant: str) -> tuple:
+    """The largest measure of the invariant over the atoms, with the least
+    atom that attains it."""
     catalog = atom_catalog(group)
-    crosses = scaled_crosses(catalog)
-    best = max(crosses, default=0)
+    weight, scale = code_weights(group, INVARIANTS[invariant].measure)
+    values = [sum([weight[c] for c in atom]) for atom in catalog.codes]
+    best = max(values, default=0)
     best_atom = min(
-        (atom for atom, v in zip(catalog.codes, crosses) if v == best), default=()
+        (atom for atom, v in zip(catalog.codes, values) if v == best), default=()
     )
     return (
-        Fraction(best, group.exponent),
+        Fraction(best, scale),
         _witness_from_codes(group, best_atom),
         SearchStats(nodes=catalog.count),
     )
@@ -318,9 +309,9 @@ def little_cross_k(
 
 
 def _largest_zero_sum_free_cross(group: FiniteAbelianGroup) -> tuple:
-    catalog = atom_catalog(group)
-    value, witness = max_zero_sum_free_cross(group, catalog)
-    return value, witness if witness.size else None, SearchStats(nodes=catalog.count)
+    value, witness = max_zero_sum_free_cross(group)
+    nodes = atom_catalog(group).count
+    return value, witness if witness.size else None, SearchStats(nodes=nodes)
 
 
 # -- search invariants ----------------------------------------------------------
@@ -341,10 +332,12 @@ def _search_invariant(
         seed = constructions.extremal_ufim(group)
     else:
         seed = constructions.generator_repeat_union(group)
-    floor_codes = tuple(sorted(group_table(group).encode_all(seed.elements())))
-    catalog = atom_catalog(group)
     outcome = maximize_over_ufims(
-        group, catalog, spec.measure, spec.measure_of(seed), floor_codes, budget=budget
+        group,
+        atom_catalog(group),
+        spec.measure,
+        group_table(group).encode_all(seed.elements()),
+        budget=budget,
     )
     return (
         outcome.value,

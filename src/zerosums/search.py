@@ -13,16 +13,18 @@ enumeration records, so the search keeps no per-atom tables or memo of its
 own. The support itself is updated only on accepted nodes. Pruning uses the
 product bound (block sizes multiply to at most |G|, which also bounds the
 number of blocks still to come, as each has at least 2 elements) and an
-optimistic value bound against the incumbent. Measures are integers,
-cross numbers scaled by exp(G) (``atoms.scaled_crosses``); the value becomes
-a Fraction once, in the outcome.
+optimistic value bound against the incumbent. Measures are integer sums of
+code weights (``atoms.code_weights``); the value becomes a Fraction once,
+over the scale, in the outcome.
 
-The root branches (choices of first atom) run one after another, in order,
-on one thread. Each starts from its own incumbent seeded from the caller's
-floor, not from the best value found so far, so the nodes a branch visits
-and prunes do not depend on the branches before it; the outcome is the best
-(value, canonically least witness) over the branches. A budget stops the
-search at the first branch that exhausts it.
+The search is seeded with a floor witness, a union the caller already
+holds, and its floor value is that witness's weight sum. The root branches
+(choices of first atom) run one after another, in order, on one thread.
+Each starts from its own incumbent seeded from the floor witness, not from
+the best value found so far, so the nodes a branch visits and prunes do not
+depend on the branches before it; the outcome is the best (value,
+canonically least witness) over the branches. A budget stops the search at
+the first branch that exhausts it.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
-from .atoms import AtomCatalog, scaled_crosses
+from .atoms import AtomCatalog, code_weights
 from .errors import DomainError
 from .groups import FiniteAbelianGroup, group_table
 
@@ -96,28 +98,24 @@ def maximize_over_ufims(
     group: FiniteAbelianGroup,
     catalog: AtomCatalog,
     kind: Literal["cross", "size"],
-    floor_value: Fraction,
-    floor_witness_codes: tuple[int, ...],
+    floor_witness_codes: Sequence[int],
     budget: Budget | None = None,
 ) -> SearchOutcome:
-    """Exact maximum of the measure over unique-factorization unions of atoms."""
+    """Exact maximum of the measure over unique-factorization unions of
+    atoms, or the floor witness and its measure when no union beats it."""
     n = group.order
     stats = SearchStats()
+    weight, scale = code_weights(group, kind)
+    floor_witness = tuple(sorted(floor_witness_codes))
+    floor = sum([weight[c] for c in floor_witness])
     if n == 1 or catalog.count == 0:
-        return SearchOutcome(floor_value, floor_witness_codes, stats)
+        return SearchOutcome(Fraction(floor, scale), floor_witness, stats)
 
     table = group_table(group)
     table.fill_all()  # the search reads every code
-    scale = group.exponent if kind == "cross" else 1
-    scaled_floor = Fraction(floor_value) * scale
-    if scaled_floor.denominator != 1:
-        raise DomainError(
-            f"floor value {floor_value} is not a multiple of 1/{scale}"
-        )
-    floor = scaled_floor.numerator
     codes, crossers = catalog.codes, catalog.sums
     lengths = [len(block) for block in codes]
-    measures = lengths if kind == "size" else scaled_crosses(catalog)
+    measures = [sum([weight[c] for c in block]) for block in codes]
     count = len(codes)
     minkowski = table.minkowski
     suffix_max = [0] * (count + 1)
@@ -125,8 +123,7 @@ def maximize_over_ufims(
         suffix_max[i] = max(measures[i], suffix_max[i + 1])
     spend = _BudgetState(budget).spend
     budgeted = budget is not None
-    best_value = floor
-    best_witness = floor_witness = tuple(sorted(floor_witness_codes))
+    best_value, best_witness = floor, floor_witness
     nodes = crossing = product = bound = 0
     chosen: list[int] = []
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,15 @@ def test_invariant_table_output(capsys):
     assert "witness     [[1], [2], [2], [3]]" in out
     assert "provenance  computed" in out
     assert "elapsed" in err and "elapsed" not in out
+
+
+def test_readme_invariant_example_is_the_output(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    command = "$ zerosums invariant -g 4 -i K1 --witness\n"
+    shown = readme[readme.index(command) + len(command) :].split("\n\n")[0]
+    code, out, _ = run(capsys, "invariant", "-g", "4", "-i", "K1", "--witness")
+    assert code == 0
+    assert out == shown + "\n"
 
 
 def test_invariant_json_golden(capsys):
@@ -100,14 +110,18 @@ def test_exit_code_usage_errors(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["-g", "4", "--budget-nodes", "-1"],
-        ["-g", "4", "--budget-seconds", "-1"],
-        ["-g", "2,2,2,2", "--budget-seconds", "nan"],
-        ["-g", "4", "--max-size", "-1"],
+        ["invariant", "-i", "K1", "-g", "4", "--budget-nodes", "-1"],
+        ["invariant", "-i", "K1", "-g", "4", "--budget-seconds", "-1"],
+        ["invariant", "-i", "K1", "-g", "2,2,2,2", "--budget-seconds", "nan"],
+        ["decompose", "--hom", "mod:2", "--max-size", "-1"],
     ],
 )
-def test_nonsense_budgets_and_caps_are_usage_errors(capsys, argv):
-    code, out, err = run(capsys, "invariant", "-i", "K1", *argv)
+def test_nonsense_budgets_and_caps_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "decompose":
+        path = tmp_path / "ms.json"
+        path.write_text(GOOD_MULTISET, encoding="utf-8")
+        argv = [*argv, "--multiset", str(path)]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "must be at least 0" in err
 
 
@@ -468,15 +482,24 @@ def test_cache_hit_below_the_lower_bound_is_recomputed(tmp_path, capsys):
     assert path.read_text() == whole
 
 
-def test_main_restores_the_config_it_sets(monkeypatch, capsys):
+def test_main_restores_the_config_it_sets(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(config, "VERIFICATION_MODE", False)
-    size = config.MAX_MULTISET_SIZE
-    argv = ["invariant", "-g", "4", "-i", "D", "--verify-mode", "--max-size", "10"]
-    assert run(capsys, *argv)[0] == 0
-    assert (config.VERIFICATION_MODE, config.MAX_MULTISET_SIZE) == (False, size)
+    fields = {name: getattr(config, name) for name in dir(config) if name.isupper()}
+    assert run(capsys, "invariant", "-g", "2,4", "-i", "K1", "--verify-mode")[0] == 0
+    assert config.VERIFICATION_MODE is False
     # also when the command fails
-    assert run(capsys, "invariant", "-g", "40", "-i", "K1", "--max-size", "10")[0] == 5
-    assert config.MAX_MULTISET_SIZE == size
+    assert run(capsys, "invariant", "-g", "40", "-i", "K1", "--verify-mode")[0] == 5
+    assert config.VERIFICATION_MODE is False
+    # --max-size caps the multiset decompose reads, and sets no config field.
+    path = tmp_path / "ms.json"
+    path.write_text(GOOD_MULTISET, encoding="utf-8")
+    argv = ["decompose", "--multiset", str(path), "--hom", "mod:2", "--max-size"]
+    assert run(capsys, *argv, "2")[0] == 0
+    assert run(capsys, *argv, "1")[0] == 5
+    assert {name: getattr(config, name) for name in fields} == fields
+    # and no other command takes it
+    with pytest.raises(SystemExit):
+        main(["invariant", "-g", "4", "-i", "D", "--max-size", "3"])
 
 
 def test_unknown_names_exit_before_computing(monkeypatch, capsys):

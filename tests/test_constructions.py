@@ -117,6 +117,17 @@ def test_direct_sum_union_preserves_unique_factorization():
         assert cross_number(u) == cross_number(parts[a]) + cross_number(parts[b])
 
 
+def test_direct_sum_union_embeds_summands_that_are_not_zero_sum():
+    # A zero-sum-free summand has no factorization to keep: the union is
+    # built, and sizes and cross numbers still add.
+    zsf = extremal_zero_sum_free(G(2))
+    for other in (extremal_ufim(G(3)), extremal_zero_sum_free(G(3))):
+        u = direct_sum_union(zsf, other)
+        assert u.group == G(6) and u.size == zsf.size + other.size
+        assert cross_number(u) == cross_number(zsf) + cross_number(other)
+        assert is_zero_sum_free(u) == is_zero_sum_free(other)
+
+
 # -- kernel-packing decomposition ------------------------------------------------
 
 

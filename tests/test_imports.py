@@ -2,7 +2,8 @@
 bounds, on first use. Searches run on one thread whatever ``workers`` says,
 and no module of the package imports concurrent.futures, threading or
 multiprocessing. Each public name is declared once, in the ``__all__`` of
-the module that defines it, and the package re-exports those lists."""
+the module that defines it, and the package re-exports those lists. Only
+the CLI's ``main`` sets a ``config`` field."""
 
 import ast
 import importlib
@@ -112,6 +113,61 @@ def test_package_imports_no_thread_or_process_pool():
             if any(name == m or name.startswith(m + ".") for m in POOL_MODULES):
                 offenders.append(f"{path.name}: {name}")
     assert offenders == []
+
+
+def config_writes(tree: ast.AST):
+    """(enclosing function, field) per assignment or setattr of a ``config``
+    attribute in the tree."""
+    parent = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+
+    def enclosing(node):
+        while node in parent:
+            node = parent[node]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return node.name
+        return None
+
+    def fields(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for elt in target.elts:
+                yield from fields(elt)
+        elif isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+            if target.value.id == "config":
+                yield target.attr
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "config"
+        ):
+            yield enclosing(node), ast.unparse(node.args[1])
+            continue
+        else:
+            continue
+        for target in targets:
+            for name in fields(target):
+                yield enclosing(node), name
+
+
+def test_only_cli_main_sets_a_config_field():
+    # The library reads its caps and switches from config and never sets
+    # them; the CLI sets only the switch of --verify-mode, and restores it.
+    package = Path(zerosums.__file__).resolve().parent
+    writes = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        writes |= {(path.stem, *write) for write in config_writes(tree)}
+    assert writes == {("cli", "main", "VERIFICATION_MODE")}
 
 
 # -- the package surface ------------------------------------------------------

@@ -19,8 +19,12 @@ from zerosums.atoms import (
     clear_catalog_memory,
     enumerate_atoms,
 )
-from zerosums.errors import DomainError
-from zerosums.groups import abelian_groups_up_to, group_table, normalize_group
+from zerosums.groups import (
+    abelian_groups_up_to,
+    group_table,
+    normalize_group,
+    trivial_group,
+)
 from zerosums.invariants import k1, narkiewicz_n1, to_record
 from zerosums.multisets import cross_number
 from zerosums.search import Budget, maximize_over_ufims
@@ -136,7 +140,7 @@ def test_search_matches_count_vectors(group):
     catalog = atom_catalog(group)
     for kind in ("cross", "size"):
         for floor in (_floor(group, kind), (Fraction(0), ())):
-            got = maximize_over_ufims(group, catalog, kind, *floor)
+            got = maximize_over_ufims(group, catalog, kind, floor[1])
             want = reference.maximize_over_ufims(group, catalog, kind, *floor)
             assert got.value == want.value
             assert got.witness_codes == want.witness_codes
@@ -151,7 +155,7 @@ def test_budgeted_search_matches_count_vectors():
     floor = _floor(group, "cross")
     for nodes in (0, 1, 50, 400):
         got = maximize_over_ufims(
-            group, catalog, "cross", *floor, budget=Budget(max_nodes=nodes)
+            group, catalog, "cross", floor[1], budget=Budget(max_nodes=nodes)
         )
         want = reference.maximize_over_ufims(
             group, catalog, "cross", *floor, budget=Budget(max_nodes=nodes)
@@ -162,12 +166,19 @@ def test_budgeted_search_matches_count_vectors():
         )
 
 
-def test_search_rejects_floor_off_the_exponent_grid():
-    group = G(4)
-    with pytest.raises(DomainError):
-        maximize_over_ufims(group, atom_catalog(group), "cross", Fraction(1, 3), ())
-    with pytest.raises(DomainError):
-        maximize_over_ufims(group, atom_catalog(group), "size", Fraction(1, 2), ())
+def test_floor_is_the_measure_of_the_floor_witness():
+    # With no node to spend, or no atom to search, the search returns the
+    # floor witness it was given, at that witness's own measure.
+    for group in [trivial_group(), *SMALL_GROUPS]:
+        empty = AtomCatalog(group, (), ())
+        for kind in ("cross", "size"):
+            value, codes = _floor(group, kind)
+            for catalog in (atom_catalog(group), empty):
+                got = maximize_over_ufims(
+                    group, catalog, kind, codes, budget=Budget(max_nodes=0)
+                )
+                assert (got.value, got.witness_codes) == (value, codes)
+                assert got.stats.nodes == 0
 
 
 @pytest.mark.parametrize("search", [k1, narkiewicz_n1])
@@ -230,9 +241,8 @@ def test_search_reads_only_the_catalog_it_is_given():
     short = AtomCatalog(group, full.codes[:cut], full.sums[:cut])
     for catalog in (atom_catalog(group), short, atom_catalog(group), short):
         for kind in ("cross", "size"):
-            floor = (Fraction(0), ())
-            got = maximize_over_ufims(group, catalog, kind, *floor)
-            want = reference.maximize_over_ufims(group, catalog, kind, *floor)
+            got = maximize_over_ufims(group, catalog, kind, ())
+            want = reference.maximize_over_ufims(group, catalog, kind, Fraction(0), ())
             assert (got.value, got.witness_codes) == (want.value, want.witness_codes)
             assert (got.stats.nodes, got.stats.prunes) == (
                 want.stats.nodes, want.stats.prunes
