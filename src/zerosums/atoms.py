@@ -5,8 +5,10 @@ codes (``GroupTable``). A prefix is kept only while zero-sum-free. Its subset
 sums are tracked as a support bitmask over codes (``GroupTable.translate``):
 appending e keeps the prefix zero-sum-free exactly when -e is not a subset
 sum, and the new support is supp | (supp + e). Appending the negation of the
-running sum closes an atom. Generation in canonical order makes
-deduplication free.
+running sum closes an atom. Generation in canonical (lexicographic) order
+makes deduplication free, and makes the first maximizer met the least: the
+walk keeps the longest atom (D), the atom of largest cross weight (K) and
+the zero-sum-free prefix of largest cross weight (k).
 
 A catalog holds every atom of its group, each as its ascending codes and,
 from the support at its emission, the mask of its proper nonempty subset
@@ -27,7 +29,7 @@ slower than parsing the text it would be read from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal
 
@@ -50,12 +52,16 @@ class AtomCatalog:
 
     ``codes`` holds each atom as its ascending element codes, in (length,
     codes) order; ``sums`` holds, per atom, the mask of its proper nonempty
-    subset sums.
+    subset sums. The three least maximizers the walk kept follow from
+    ``codes``, and take no part in ``==``.
     """
 
     group: FiniteAbelianGroup
     codes: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
+    longest_atom: tuple[int, ...] = field(default=(), compare=False)
+    heaviest_atom: tuple[int, ...] = field(default=(), compare=False)
+    heaviest_zero_sum_free: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def count(self) -> int:
@@ -87,6 +93,7 @@ def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
     table.fill_all()  # the DFS reads every code
     neg = table.neg
     translate = table.translate
+    weight = code_weights(group, "cross")[0]
     # add[x][e] = x + e, from one-bit translates. n <= ATOM_ORDER_CAP, so
     # n rows of n codes.
     add = [
@@ -96,25 +103,38 @@ def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
     # (codes, sums) per atom, in lexicographic order of codes.
     found: list[tuple[tuple[int, ...], int]] = []
     prefix: list[int] = []
+    # The maxima met so far, each replaced only by a strictly larger value.
+    longest = heaviest = heaviest_free = 0
+    longest_atom = heaviest_atom = heaviest_zsf = ()
 
-    # supp = subset sums of the current prefix, as a mask over codes. An
-    # atom's subset sums are supp | (supp + e); the empty and the full one
-    # are the only ones at 0, as the atom is minimal. Codes start at 1, so
-    # e == want only when the prefix is nonempty.
-    def dfs(start: int, running: int, supp: int) -> None:
+    # supp = subset sums of the current prefix, a zero-sum-free sequence, as
+    # a mask over codes, and cross = its cross weight. An atom's subset sums
+    # are supp | (supp + e); the empty and the full one are the only ones at
+    # 0, as the atom is minimal. Codes start at 1, so e == want only when
+    # the prefix is nonempty.
+    def dfs(start: int, running: int, supp: int, cross: int) -> None:
+        nonlocal longest, heaviest, heaviest_free
+        nonlocal longest_atom, heaviest_atom, heaviest_zsf
+        if cross > heaviest_free:
+            heaviest_free, heaviest_zsf = cross, tuple(prefix)
         want = neg[running]
         for e in range(start, n):
             if e == want:
                 if len(found) >= cap:
                     raise ResourceLimitError(f"atom catalog exceeds {cap} entries")
-                found.append((tuple(prefix + [e]), (supp | translate(supp, e)) & ~1))
+                atom = tuple(prefix + [e])
+                found.append((atom, (supp | translate(supp, e)) & ~1))
+                if len(atom) > longest:
+                    longest, longest_atom = len(atom), atom
+                if cross + weight[e] > heaviest:
+                    heaviest, heaviest_atom = cross + weight[e], atom
             if not (supp >> neg[e]) & 1:
                 prefix.append(e)
-                dfs(e, add[running][e], supp | translate(supp, e))
+                dfs(e, add[running][e], supp | translate(supp, e), cross + weight[e])
                 prefix.pop()
 
     try:
-        dfs(1, 0, 1)
+        dfs(1, 0, 1, 0)
     finally:
         # dfs holds itself through its closure; dropping the name frees the
         # cycle, and the group table it holds, without waiting for the GC.
@@ -125,7 +145,7 @@ def enumerate_atoms(group: FiniteAbelianGroup) -> AtomCatalog:
     # not empty: n > 1, so some (g, -g) is an atom.
     found.sort(key=lambda atom: len(atom[0]))
     codes, sums = zip(*found)
-    return AtomCatalog(group, codes, sums)
+    return AtomCatalog(group, codes, sums, longest_atom, heaviest_atom, heaviest_zsf)
 
 
 # -- in-memory reuse ----------------------------------------------------------
@@ -151,33 +171,13 @@ def clear_catalog_memory() -> None:
 def max_zero_sum_free_cross(
     group: FiniteAbelianGroup,
 ) -> tuple[Fraction, IndexedMultiset]:
-    """Largest cross number of a zero-sum-free multiset, with a witness.
-
-    Every zero-sum-free multiset extends to an atom by one element, so the
-    maximum is scanned as atom-minus-one-element over the group's catalog;
-    the witness is the canonically least maximizer.
-    """
+    """Largest cross number of a zero-sum-free multiset, with the
+    canonically least maximizer, kept by the catalog's walk, as witness."""
     weight, scale = code_weights(group, "cross")
-    best = 0
-    best_witness: tuple[int, ...] = ()
-    for atom in atom_catalog(group).codes:
-        total = sum([weight[c] for c in atom])
-        last = 0  # codes are ascending and nonzero: skip repeated ones
-        for i, c in enumerate(atom):
-            if c == last:
-                continue
-            last = c
-            value = total - weight[c]
-            if value < best:
-                continue
-            witness = atom[:i] + atom[i + 1 :]
-            if value > best or witness < best_witness:
-                best = value
-                best_witness = witness
-    ms = _witness_from_codes(group, best_witness)
-    if ms is None:  # no atoms: the empty multiset
-        ms = IndexedMultiset(group, ())
-    return Fraction(best, scale), ms
+    codes = atom_catalog(group).heaviest_zero_sum_free
+    # For the trivial group, the empty multiset.
+    ms = _witness_from_codes(group, codes) or IndexedMultiset(group, ())
+    return Fraction(sum([weight[c] for c in codes]), scale), ms
 
 
 def code_weights(

@@ -82,8 +82,8 @@ class FiniteAbelianGroup:
 
     def __post_init__(self) -> None:
         fs = self.invariant_factors
-        if min(fs, default=2) < 2:
-            raise InvalidModulusError(f"invariant factors must exceed 1, got {fs}")
+        if any(type(n) is not int or n < 2 for n in fs):
+            raise InvalidModulusError(f"invariant factors must be ints > 1, got {fs}")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise InvalidModulusError(
@@ -188,8 +188,8 @@ def normalize_group(moduli: Iterable[int]) -> FiniteAbelianGroup:
     """
     exps: dict[int, list[int]] = {}
     for m in moduli:
-        if m < 2:
-            raise InvalidModulusError(f"modulus must be at least 2, got {m}")
+        if type(m) is not int or m < 2:
+            raise InvalidModulusError(f"modulus must be an int >= 2, got {m!r}")
         for p, e in factorize(m).items():
             exps.setdefault(p, []).append(e)
     # The i-th largest exponent of each prime goes into the i-th largest factor.

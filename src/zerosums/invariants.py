@@ -286,17 +286,14 @@ def big_cross_K(
 
 def _best_atom(group: FiniteAbelianGroup, invariant: str) -> tuple:
     """The largest measure of the invariant over the atoms, with the least
-    atom that attains it."""
+    atom that attains it, as the catalog's walk kept it."""
     catalog = atom_catalog(group)
-    weight, scale = code_weights(group, INVARIANTS[invariant].measure)
-    values = [sum([weight[c] for c in atom]) for atom in catalog.codes]
-    best = max(values, default=0)
-    best_atom = min(
-        (atom for atom, v in zip(catalog.codes, values) if v == best), default=()
-    )
+    measure = INVARIANTS[invariant].measure
+    weight, scale = code_weights(group, measure)
+    atom = catalog.longest_atom if measure == "size" else catalog.heaviest_atom
     return (
-        Fraction(best, scale),
-        _witness_from_codes(group, best_atom),
+        Fraction(sum([weight[c] for c in atom]), scale),
+        _witness_from_codes(group, atom),
         SearchStats(nodes=catalog.count),
     )
 

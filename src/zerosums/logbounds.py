@@ -91,6 +91,9 @@ def _log_sum(terms: Terms, logs: dict) -> tuple[int, int]:
     return lo, hi
 
 
+_LIBMP: tuple = ()  # mpmath.libmp's kernels, bound by the first enclosure
+
+
 def _enclose(bound: "LogBound", prec: int) -> tuple[int, int]:
     """(lo, hi) with lo * 2**-prec <= value <= hi * 2**-prec.
 
@@ -98,9 +101,15 @@ def _enclose(bound: "LogBound", prec: int) -> tuple[int, int]:
     distinct argument is enclosed once, so the ln |G| of the Gao-Wang bound
     serves both of its terms.
     """
-    from mpmath.libmp import from_rational, mpf_ln2, mpf_log, mpf_neg, to_fixed
-    from mpmath.libmp import round_ceiling as up, round_floor as down
+    global _LIBMP
+    if not _LIBMP:
+        from mpmath import libmp as m
 
+        _LIBMP = (
+            m.from_rational, m.mpf_ln2, m.mpf_log, m.mpf_neg, m.to_fixed,
+            m.round_ceiling, m.round_floor,
+        )
+    from_rational, mpf_ln2, mpf_log, mpf_neg, to_fixed, up, down = _LIBMP
     w = prec + _GUARD
 
     def outward(lo: tuple, hi: tuple) -> tuple[int, int]:

@@ -74,26 +74,6 @@ class _BudgetHit(Exception):
     pass
 
 
-class _BudgetState:
-    __slots__ = ("nodes_left", "deadline")
-
-    def __init__(self, budget: Budget | None):
-        self.nodes_left = budget.max_nodes if budget else None
-        self.deadline = (
-            time.monotonic() + budget.max_seconds
-            if budget and budget.max_seconds is not None
-            else None
-        )
-
-    def spend(self, amount: int = 1) -> None:
-        if self.nodes_left is not None:
-            self.nodes_left -= amount
-            if self.nodes_left < 0:
-                raise _BudgetHit
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _BudgetHit
-
-
 def maximize_over_ufims(
     group: FiniteAbelianGroup,
     catalog: AtomCatalog,
@@ -121,11 +101,23 @@ def maximize_over_ufims(
     suffix_max = [0] * (count + 1)
     for i in range(count - 1, -1, -1):
         suffix_max[i] = max(measures[i], suffix_max[i + 1])
-    spend = _BudgetState(budget).spend
     budgeted = budget is not None
+    max_nodes = budget.max_nodes if budgeted else None
+    deadline = (
+        time.monotonic() + budget.max_seconds
+        if budgeted and budget.max_seconds is not None
+        else None
+    )
     best_value, best_witness = floor, floor_witness
     nodes = crossing = product = bound = 0
     chosen: list[int] = []
+
+    def spend() -> None:
+        """Refuse the next node once the budget is spent."""
+        if nodes == max_nodes or (
+            deadline is not None and time.monotonic() > deadline
+        ):
+            raise _BudgetHit
 
     def accept(j: int, prod: int, value: int, supp: int):
         """Take atom j as the next block and search the extensions."""

@@ -11,14 +11,42 @@ catalog atoms the same way, for tests that check a property on all of them.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from typing import Iterator
 
 from zerosums.atoms import AtomCatalog
 from zerosums.groups import FiniteAbelianGroup, group_table
-from zerosums.search import Budget, SearchOutcome, SearchStats, _BudgetHit, _BudgetState
+from zerosums.search import Budget, SearchOutcome, SearchStats
 
 from subset_scan_reference import tables
+
+
+class _BudgetHit(Exception):
+    pass
+
+
+class _BudgetState:
+    """Nodes left and the deadline of one search; ``spend`` raises once
+    either is passed."""
+
+    __slots__ = ("nodes_left", "deadline")
+
+    def __init__(self, budget: Budget | None):
+        self.nodes_left = budget.max_nodes if budget else None
+        self.deadline = (
+            time.monotonic() + budget.max_seconds
+            if budget and budget.max_seconds is not None
+            else None
+        )
+
+    def spend(self, amount: int = 1) -> None:
+        if self.nodes_left is not None:
+            self.nodes_left -= amount
+            if self.nodes_left < 0:
+                raise _BudgetHit
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _BudgetHit
 
 
 def extend_counts(cnt: list[int], codes, add) -> list[int]:

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import atom_scan_reference as reference
 import pytest
 
 from zerosums import (
@@ -15,8 +16,10 @@ from zerosums import (
     normalize_group,
     trivial_group,
 )
+from zerosums.atoms import code_weights
 from zerosums.errors import ResourceLimitError
 from zerosums.formulas import d_star
+from zerosums.groups import abelian_groups_up_to
 
 
 def brute_force_atoms(group, max_len):
@@ -115,3 +118,26 @@ def test_max_zero_sum_free_cross_examples():
     assert max_zero_sum_free_cross(normalize_group([6]))[0] == Fraction(7, 6)
     value, witness = max_zero_sum_free_cross(normalize_group([2, 2]))
     assert value == 1 and is_zero_sum_free(witness)
+
+
+def weighed(group, measure, codes):
+    weight = code_weights(group, measure)[0]
+    return sum(weight[c] for c in codes), codes
+
+
+@pytest.mark.parametrize(
+    "group",
+    [trivial_group(), *abelian_groups_up_to(20), normalize_group([2, 2, 6])],
+    ids=lambda g: g.key,
+)
+def test_walk_keeps_the_least_maximizers_of_the_catalog_scans(group):
+    catalog = enumerate_atoms(group)
+    assert weighed(group, "size", catalog.longest_atom) == reference.best_atom(
+        catalog, "size"
+    )
+    assert weighed(group, "cross", catalog.heaviest_atom) == reference.best_atom(
+        catalog, "cross"
+    )
+    assert weighed(
+        group, "cross", catalog.heaviest_zero_sum_free
+    ) == reference.max_zero_sum_free_cross(catalog)

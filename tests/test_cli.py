@@ -105,6 +105,7 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, "invariant", "-g", "4", "-i", "BOGUS")[0] == 2
     assert run(capsys, "invariant", "-g", "4x2", "-i", "D")[0] == 2
     assert run(capsys, "invariant", "-g", "1", "-i", "D")[0] == 2
+    assert run(capsys, "invariant", "-g", "2^-1", "-i", "D")[0] == 2
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,10 @@ def test_normalize_divisibility_chain_sort():
     assert FiniteAbelianGroup((2, 4)).primary_components == ((2, 1), (2, 2))
 
 
-@pytest.mark.parametrize("factors", [(4, 2), (1, 2), (2, 3), (2, 0)])
+@pytest.mark.parametrize(
+    "factors",
+    [(4, 2), (1, 2), (2, 3), (2, 0), (2.5,), (6.0,), (2, 4.0), ("4",), (True, 2)],
+)
 def test_group_rejects_factors_that_are_not_a_chain_above_1(factors):
     with pytest.raises(InvalidModulusError):
         FiniteAbelianGroup(factors)
@@ -65,6 +68,14 @@ def test_normalize_rejects_small_moduli():
         normalize_group([1])
     with pytest.raises(InvalidModulusError):
         normalize_group([4, 0])
+
+
+@pytest.mark.parametrize("modulus", [2.5, 6.0, "4", True, 0.5])
+def test_normalize_rejects_moduli_that_are_not_ints(modulus):
+    with pytest.raises(InvalidModulusError):
+        normalize_group([modulus])
+    with pytest.raises(InvalidModulusError):
+        normalize_group([2, modulus])
 
 
 def test_trivial_group():
