@@ -294,6 +294,8 @@ def cmd_decompose(args) -> int:
 def cmd_catalog(args) -> int:
     from .groups import abelian_groups_up_to
 
+    if args.max_order < 0:
+        raise UsageError(f"--max-order must be at least 0, got {args.max_order}")
     cache = open_cache(args.cache_dir)
     budget = _budget(args)
     rows = []
@@ -396,9 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.verify_mode:
             config.VERIFICATION_MODE = True
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

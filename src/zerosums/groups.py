@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -324,7 +323,7 @@ def product_presentation(
     return group, tuple(images)
 
 
-# -- kernels, images, and structure recovery --------------------------------
+# -- kernels and structure ----------------------------------------------------
 
 
 def kernel_elements(phi: Homomorphism) -> list[Element]:
@@ -333,62 +332,61 @@ def kernel_elements(phi: Homomorphism) -> list[Element]:
     return [g for g in phi.source.elements() if phi._apply(g) == zero]
 
 
-def image_elements(phi: Homomorphism) -> list[Element]:
-    return sorted({phi._apply(g) for g in phi.source.elements()})
-
-
+# No caller in the library; perfbench/inproc.py clears its cache before every query.
 @lru_cache(maxsize=None)
 def order_statistics(group: FiniteAbelianGroup) -> tuple[int, ...]:
     return tuple(sorted(group.element_order(g) for g in group.elements()))
 
 
-def group_from_order_statistics(orders: Sequence[int]) -> FiniteAbelianGroup:
-    """Recover a finite abelian group from the multiset of element orders.
-
-    For a prime p, the elements of order dividing p^i form a subgroup of
-    p^(sum over the invariant factors of min(i, e)) elements, e the exponent
-    of p in the factor; so the logs of consecutive counts differ by the
-    number of factors with e >= i, which gives the exponents. The one
-    candidate so read is checked against the orders given.
-    """
-    stats = tuple(sorted(orders))
-    n = len(stats)
-    if n < 1:
-        raise DomainError(f"order must be positive, got {n}")
-    counts = Counter(stats)
-    mismatch = "order statistics do not match any abelian group"
-    moduli = []
-    for p, a in factorize(n).items():
-        at_least = []  # at_least[i - 1]: factors with exponent >= i
-        below = 0
-        for i in range(1, a + 1):
-            size = sum(c for o, c in counts.items() if o > 0 and p**i % o == 0)
-            log = 0
-            while size > 1 and size % p == 0:
-                size //= p
-                log += 1
-            if size != 1:
-                raise DomainError(mismatch)
-            at_least.append(log - below)
-            below = log
-        moduli += [
-            p ** sum(r >= k for r in at_least) for k in range(1, at_least[0] + 1)
-        ]
-    cand = normalize_group(moduli)
-    if order_statistics(cand) != stats:
-        raise DomainError(mismatch)
-    return cand
+def _diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero |d| of a diagonal form of the integer matrix with these
+    rows, so Z^width modulo the rows is the sum of the Z/d and a free part.
+    Euclid on an entry of least absolute value, by unimodular row and column
+    operations (Cohen 1993, section 2.4), until its row and column are clear;
+    ``normalize_group`` takes the d in any order."""
+    rows = [list(row) for row in matrix]
+    out = []
+    while any(map(any, rows)):
+        _, i, j = min(
+            (abs(v), i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v
+        )
+        top, pivot = rows[i], rows[i][j]
+        for k, r in enumerate(rows):
+            if k != i:
+                rows[k] = [x - r[j] // pivot * y for x, y in zip(r, top)]
+        qs = [0 if k == j else v // pivot for k, v in enumerate(top)]
+        rows = [[x - q * r[j] for x, q in zip(r, qs)] for r in rows]
+        if sum(map(bool, rows[i])) == sum(bool(r[j]) for r in rows) == 1:
+            out.append(abs(pivot))
+            del rows[i]
+            for r in rows:
+                del r[j]
+    return out
 
 
 def kernel_structure(phi: Homomorphism) -> FiniteAbelianGroup:
-    ker = kernel_elements(phi)
-    return group_from_order_statistics([phi.source.element_order(g) for g in ker])
+    """Iso class of the kernel. With n_i and m_j the invariant factors of the
+    source and target and a_ij the residues of the generator images, ker phi
+    is dual to the cokernel of the dual map: Z^r modulo n_i·e_i and, per
+    target coordinate j, the vector of n_i·a_ij / m_j over i."""
+    ns = phi.source.invariant_factors
+    cols = zip(phi._columns, phi.target.invariant_factors)
+    # n_i·a_i is zero in the target, so m_j divides n_i·a_ij.
+    relations = [[n * a // m for n, a in zip(ns, c)] for c, m in cols]
+    relations += [[n * (k == i) for k in range(len(ns))] for i, n in enumerate(ns)]
+    return normalize_group([d for d in _diagonal(relations) if d > 1])
 
 
 def quotient_structure(phi: Homomorphism) -> FiniteAbelianGroup:
-    """Iso class of source/kernel, recovered from the image subgroup."""
-    img = image_elements(phi)
-    return group_from_order_statistics([phi.target.element_order(g) for g in img])
+    """Iso class of source/kernel, that is of the image. x_j -> x_j·e/m_j
+    embeds the target in (Z/e)^s, e its exponent, so the image is Z^r modulo
+    {x : Bx = 0 mod e}, B_ji = a_ij·e/m_j. A diagonal entry d of B gives
+    Z/(e/gcd(e, d)), and the coordinates past its rank give Z/1."""
+    e = phi.target.exponent
+    cols = zip(phi._columns, phi.target.invariant_factors)
+    b = [[a * e // m for a in c] for c, m in cols]
+    moduli = [e // gcd(e, d) for d in _diagonal(b)]
+    return normalize_group([m for m in moduli if m > 1])
 
 
 def _partitions(k: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -1,8 +1,9 @@
-"""The candidate scan that ``groups.group_from_order_statistics`` replaced.
+"""A finite abelian group from the multiset of its element orders, by a scan.
 
 It lists the abelian groups of the given order and returns the first whose
-sorted element orders equal the input's; the library reads the one
-candidate off per-prime counts. The tests require both to agree.
+sorted element orders equal the input's. Applied to the element orders of a
+map's kernel and image, it is the oracle for ``groups.kernel_structure`` and
+``groups.quotient_structure``, which read both off the map's integer matrix.
 """
 
 from __future__ import annotations

@@ -115,6 +115,7 @@ def test_exit_code_usage_errors(capsys):
         ["invariant", "-i", "K1", "-g", "4", "--budget-seconds", "-1"],
         ["invariant", "-i", "K1", "-g", "2,2,2,2", "--budget-seconds", "nan"],
         ["decompose", "--hom", "mod:2", "--max-size", "-1"],
+        ["catalog", "--max-order", "-1"],
     ],
 )
 def test_nonsense_budgets_and_caps_are_usage_errors(tmp_path, capsys, argv):
