@@ -214,7 +214,7 @@ def construction4_decompose(
     """
     if ms.group != phi.source:
         raise DomainError("multiset group does not match the map's source")
-    if ms.has_zero or not is_ufim(ms):
+    if ms.has_zero or not is_zero_sum(ms) or not is_ufim(ms):
         raise PreconditionError(
             "decomposition needs a unique-factorization multiset over G\\{0}"
         )

@@ -287,8 +287,6 @@ def _second_factorization(
 
 
 def is_zero_sum(s: IndexedMultiset | IndexSubset) -> bool:
-    if isinstance(s, IndexSubset):
-        return sigma(s) == s.multiset.group.zero()
     return sigma(s) == s.group.zero()
 
 

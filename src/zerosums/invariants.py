@@ -14,12 +14,7 @@ from math import gcd
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from . import config, constructions
-from .atoms import (
-    _witness_from_codes,
-    atom_catalog,
-    code_weights,
-    max_zero_sum_free_cross,
-)
+from .atoms import _witness_from_codes, atom_catalog, code_weights
 from .cache import FORMAT_VERSION, ResultCache
 from .errors import (
     ConstraintInapplicableError,
@@ -80,45 +75,58 @@ __all__ = [
 class Invariant(NamedTuple):
     """One witnessed invariant: ``compute(group, cache, budget)``, the name
     of the config cap on the group order it obeys, the predicate ``holds``
-    that its witnesses satisfy, the ``measure`` it maximizes, and ``star``,
-    its closed form. The closed form is a proven lower bound: a construction
-    attains it, so a smaller value is wrong. ``compute`` and ``holds`` call
-    through module-level names, so a wrapper installed on those names
-    (perfbench/tracer.py) sees every call."""
+    that its witnesses satisfy, the ``measure`` it maximizes, ``star``, its
+    closed form, and ``best(group, budget)``, the codes of its least
+    maximizer with the statistics of finding it. The value is the measure
+    of that maximizer. The closed form is a proven lower bound: a
+    construction attains it, so a smaller value is wrong. ``compute``,
+    ``holds`` and ``best`` call through module-level names, so a wrapper
+    installed on those names (perfbench/tracer.py) sees every call."""
 
     compute: Callable[..., InvariantResult]
     cap: str
     holds: Callable[[IndexedMultiset], bool]
     measure: Literal["size", "cross"]
     star: Callable[[FiniteAbelianGroup], Fraction]
+    best: Callable[[FiniteAbelianGroup, Budget | None], tuple]
 
     def measure_of(self, ms: IndexedMultiset) -> Fraction:
         return cross_number(ms) if self.measure == "cross" else Fraction(ms.size)
 
 
 # The witnessed invariants by CLI name, in catalog order. D, K and k are read
-# off the atom catalog; N1 and K1 are budgeted unique-factorization searches.
+# off the atom catalog's walk; N1 and K1 are budgeted unique-factorization
+# searches, seeded with a construction that attains the closed form.
 INVARIANTS = {
     "D": Invariant(
         lambda g, cache, budget: davenport(g, cache=cache), "ATOM_ORDER_CAP",
         lambda w: is_minimal_zero_sum(w), "size", lambda g: Fraction(d_star(g)),
+        lambda g, budget: _walk_best(g, "longest_atom"),
     ),
     "K": Invariant(
         lambda g, cache, budget: big_cross_K(g, cache=cache), "ATOM_ORDER_CAP",
         lambda w: is_minimal_zero_sum(w), "cross", K_star,
+        lambda g, budget: _walk_best(g, "heaviest_atom"),
     ),
     "k": Invariant(
         lambda g, cache, budget: little_cross_k(g, cache=cache), "ATOM_ORDER_CAP",
         lambda w: is_zero_sum_free(w), "cross", k_star,
+        lambda g, budget: _walk_best(g, "heaviest_zero_sum_free"),
     ),
     "N1": Invariant(
         lambda g, cache, budget: narkiewicz_n1(g, cache=cache, budget=budget),
         "SEARCH_ORDER_CAP", lambda w: is_ufim(w), "size",
         lambda g: Fraction(n1_star(g)),
+        lambda g, budget: _search_best(
+            g, "size", constructions.generator_repeat_union, budget
+        ),
     ),
     "K1": Invariant(
         lambda g, cache, budget: k1(g, cache=cache, budget=budget),
         "SEARCH_ORDER_CAP", lambda w: is_ufim(w), "cross", k1_star,
+        lambda g, budget: _search_best(
+            g, "cross", constructions.extremal_ufim, budget
+        ),
     ),
 }
 
@@ -250,23 +258,55 @@ def _lookup_or_compute(
     group: FiniteAbelianGroup,
     invariant: str,
     cache: ResultCache | None,
-    compute: Callable[[FiniteAbelianGroup], tuple],
+    budget: Budget | None,
 ) -> InvariantResult:
-    """A witnessed invariant: a verified cache hit, or the (value, witness,
-    stats) of ``compute(group)``, stored when the computation completed."""
+    """A witnessed invariant: a verified cache hit, or the measure of the
+    maximizer that its ``INVARIANTS`` entry finds, with that maximizer as
+    witness, stored when the computation completed."""
     got = _cached(group, invariant, cache)
     if got is not None:
         return got
-    value, witness, stats = compute(group)
+    spec = INVARIANTS[invariant]
+    codes, stats = spec.best(group, budget)
+    weight, scale = code_weights(group, spec.measure)
+    value = Fraction(sum([weight[c] for c in codes]), scale)
     result = InvariantResult(
-        group, invariant, value, witness, stats, "computed", stats.complete
+        group, invariant, value, _witness_from_codes(group, codes), stats,
+        "computed", stats.complete,
     )
     if cache is not None and result.complete:
         cache.put_record(to_record(result))
     return result
 
 
-# -- atom-catalog invariants --------------------------------------------------
+def _walk_best(group: FiniteAbelianGroup, kept: str) -> tuple:
+    """The least maximizer that the atom catalog's walk kept, the catalog
+    field named ``kept``; the walk's nodes are the catalog's atoms."""
+    catalog = atom_catalog(group)
+    return getattr(catalog, kept), SearchStats(nodes=catalog.count)
+
+
+def _search_best(
+    group: FiniteAbelianGroup,
+    measure: Literal["size", "cross"],
+    seed: Callable[[FiniteAbelianGroup], IndexedMultiset],
+    budget: Budget | None,
+) -> tuple:
+    """Branch-and-bound search over unique-factorization multisets, from
+    the floor witness ``seed(group)``."""
+    if group.order > config.SEARCH_ORDER_CAP:
+        raise ResourceLimitError(
+            f"group order {group.order} exceeds the search cap "
+            f"{config.SEARCH_ORDER_CAP}"
+        )
+    outcome = maximize_over_ufims(
+        group,
+        atom_catalog(group),
+        measure,
+        group_table(group).encode_all(seed(group).elements()),
+        budget=budget,
+    )
+    return outcome.witness_codes, outcome.stats
 
 
 def davenport(
@@ -274,73 +314,21 @@ def davenport(
 ) -> InvariantResult:
     """Longest atom (Davenport constant), with the least longest atom as
     witness."""
-    return _lookup_or_compute(group, "D", cache, lambda g: _best_atom(g, "D"))
+    return _lookup_or_compute(group, "D", cache, None)
 
 
 def big_cross_K(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Maximum cross number over atoms, with a canonically least witness."""
-    return _lookup_or_compute(group, "K", cache, lambda g: _best_atom(g, "K"))
-
-
-def _best_atom(group: FiniteAbelianGroup, invariant: str) -> tuple:
-    """The largest measure of the invariant over the atoms, with the least
-    atom that attains it, as the catalog's walk kept it."""
-    catalog = atom_catalog(group)
-    measure = INVARIANTS[invariant].measure
-    weight, scale = code_weights(group, measure)
-    atom = catalog.longest_atom if measure == "size" else catalog.heaviest_atom
-    return (
-        Fraction(sum([weight[c] for c in atom]), scale),
-        _witness_from_codes(group, atom),
-        SearchStats(nodes=catalog.count),
-    )
+    return _lookup_or_compute(group, "K", cache, None)
 
 
 def little_cross_k(
     group: FiniteAbelianGroup, *, cache: ResultCache | None = None
 ) -> InvariantResult:
     """Maximum cross number over zero-sum-free multisets."""
-    return _lookup_or_compute(group, "k", cache, _largest_zero_sum_free_cross)
-
-
-def _largest_zero_sum_free_cross(group: FiniteAbelianGroup) -> tuple:
-    value, witness = max_zero_sum_free_cross(group)
-    nodes = atom_catalog(group).count
-    return value, witness if witness.size else None, SearchStats(nodes=nodes)
-
-
-# -- search invariants ----------------------------------------------------------
-
-
-def _search_invariant(
-    group: FiniteAbelianGroup, invariant: str, budget: Budget | None
-) -> tuple:
-    """Branch-and-bound search for K1 or N1, seeded with a construction that
-    attains its closed form: the tower for K1, generator repeats for N1."""
-    if group.order > config.SEARCH_ORDER_CAP:
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds the search cap "
-            f"{config.SEARCH_ORDER_CAP}"
-        )
-    spec = INVARIANTS[invariant]
-    if spec.measure == "cross":
-        seed = constructions.extremal_ufim(group)
-    else:
-        seed = constructions.generator_repeat_union(group)
-    outcome = maximize_over_ufims(
-        group,
-        atom_catalog(group),
-        spec.measure,
-        group_table(group).encode_all(seed.elements()),
-        budget=budget,
-    )
-    return (
-        outcome.value,
-        _witness_from_codes(group, outcome.witness_codes),
-        outcome.stats,
-    )
+    return _lookup_or_compute(group, "k", cache, None)
 
 
 def k1(
@@ -356,9 +344,7 @@ def k1(
     on budget exhaustion the incumbent is returned with complete=False.
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _lookup_or_compute(
-        group, "K1", cache, lambda g: _search_invariant(g, "K1", budget)
-    )
+    return _lookup_or_compute(group, "K1", cache, budget)
 
 
 def narkiewicz_n1(
@@ -372,9 +358,7 @@ def narkiewicz_n1(
 
     The search runs on one thread; ``workers`` is accepted and ignored.
     """
-    return _lookup_or_compute(
-        group, "N1", cache, lambda g: _search_invariant(g, "N1", budget)
-    )
+    return _lookup_or_compute(group, "N1", cache, budget)
 
 
 # -- bounds --------------------------------------------------------------------

@@ -135,6 +135,10 @@ class IndexSubset:
             raise DomainError(f"labels {sorted(unknown)} not in multiset")
 
     @property
+    def group(self) -> FiniteAbelianGroup:
+        return self.multiset.group
+
+    @property
     def size(self) -> int:
         return len(self.labels)
 
@@ -155,15 +159,9 @@ class IndexSubset:
 MultisetLike = Union[IndexedMultiset, IndexSubset]
 
 
-def _group_and_elements(s: MultisetLike) -> tuple[FiniteAbelianGroup, tuple[Element, ...]]:
-    if isinstance(s, IndexSubset):
-        return s.multiset.group, s.elements()
-    return s.group, s.elements()
-
-
 def sigma(s: MultisetLike) -> Element:
     """Sum of the elements with multiplicity; the empty sum is 0."""
-    return element_sum(*_group_and_elements(s))
+    return element_sum(s.group, s.elements())
 
 
 def element_sum(group: FiniteAbelianGroup, elements: Sequence[Element]) -> Element:
@@ -177,9 +175,9 @@ def element_sum(group: FiniteAbelianGroup, elements: Sequence[Element]) -> Eleme
 
 def cross_number(s: MultisetLike) -> Fraction:
     """Sum of reciprocal element orders, exact; empty multiset gives 0."""
-    group, els = _group_and_elements(s)
+    group = s.group
     return sum(
-        (Fraction(1, group.element_order(el)) for el in els), Fraction(0)
+        (Fraction(1, group.element_order(el)) for el in s.elements()), Fraction(0)
     )
 
 
@@ -213,6 +211,5 @@ def apply_hom(phi: Homomorphism, s: IndexedMultiset) -> IndexedMultiset:
 
 def to_lists(s: MultisetLike) -> list[list[int]]:
     """Serialized form: residue vectors in canonical order."""
-    _, els = _group_and_elements(s)
-    return [list(el) for el in sorted(els)]
+    return [list(el) for el in sorted(s.elements())]
 

@@ -308,6 +308,18 @@ def test_decompose_malformed_input_is_a_usage_error(tmp_path, capsys, multiset, 
     assert err.startswith("error:")
 
 
+def test_decompose_of_a_multiset_that_is_not_zero_sum_is_a_usage_error(
+    tmp_path, capsys
+):
+    path = tmp_path / "ms.json"
+    path.write_text('{"group": "4", "elements": [[1], [2]]}', encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--multiset", str(path), "--hom", "mod:2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: decomposition needs a unique-factorization multiset over G\\{0}\n"
+    )
+
+
 def test_catalog_empty(capsys):
     code, out, _ = run(capsys, "catalog", "--max-order", "1")
     assert code == 0

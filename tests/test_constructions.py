@@ -170,6 +170,15 @@ def test_decompose_requires_unique_factorization():
         construction4_decompose(s, reduction_hom(group, [2]))
 
 
+def test_decompose_of_a_multiset_that_is_not_zero_sum_names_its_precondition():
+    # The unique-factorization test needs a zero sum; its own message would
+    # name that internal test instead of what decompose requires.
+    group = G(4)
+    s = IndexedMultiset.from_elements(group, [[1], [2]])
+    with pytest.raises(PreconditionError, match="decomposition needs a unique-"):
+        construction4_decompose(s, reduction_hom(group, [2]))
+
+
 def test_decompose_packing_count_matches_brute_force():
     """Exact maximal packing count, against direct enumeration of families."""
     cases = [
