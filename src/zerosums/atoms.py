@@ -172,12 +172,11 @@ def max_zero_sum_free_cross(
     group: FiniteAbelianGroup,
 ) -> tuple[Fraction, IndexedMultiset]:
     """Largest cross number of a zero-sum-free multiset, with the
-    canonically least maximizer, kept by the catalog's walk, as witness."""
-    weight, scale = code_weights(group, "cross")
-    codes = atom_catalog(group).heaviest_zero_sum_free
-    # For the trivial group, the empty multiset.
-    ms = _witness_from_codes(group, codes) or IndexedMultiset(group, ())
-    return Fraction(sum([weight[c] for c in codes]), scale), ms
+    canonically least maximizer as witness: ``little_cross_k``'s value and
+    witness, or the empty multiset when there is no witness."""
+    from .invariants import little_cross_k  # invariants imports this module
+    result = little_cross_k(group)
+    return result.value, result.witness or IndexedMultiset(group, ())
 
 
 def code_weights(

@@ -139,7 +139,11 @@ class InvariantResult:
     witness: IndexedMultiset | None
     stats: SearchStats
     provenance: str  # computed | cached | formula
-    complete: bool = True
+
+    @property
+    def complete(self) -> bool:
+        """Whether the search finished, rather than stopping on its budget."""
+        return self.stats.complete
 
     def verify(self) -> bool:
         """Recompute the witness's defining predicate and measure.
@@ -187,7 +191,7 @@ def from_record(group: FiniteAbelianGroup, record: dict) -> InvariantResult:
         witness = IndexedMultiset.from_elements(
             group, record["witness"], max_size=len(record["witness"])
         )
-    stats = SearchStats(nodes=record["stats"]["nodes"])
+    stats = SearchStats(record["stats"]["nodes"], complete=not record.get("incomplete"))
     stats.prunes.update(record["stats"]["prunes"])
     return InvariantResult(
         group=group,
@@ -196,7 +200,6 @@ def from_record(group: FiniteAbelianGroup, record: dict) -> InvariantResult:
         witness=witness,
         stats=stats,
         provenance=record["provenance"],
-        complete=not record.get("incomplete", False),
     )
 
 
@@ -212,7 +215,7 @@ def _cached(
     # value, whose value is below the proven lower bound, or whose k witness
     # is not the least is a miss: the caller recomputes and rewrites it.
     try:
-        result = from_record(group, record)
+        result = from_record(group, dict(record, provenance="cached"))
         valid = (
             result.invariant == invariant
             and result.value >= INVARIANTS[invariant].star(group)
@@ -224,10 +227,7 @@ def _cached(
         ZerosumsError,
     ):
         return None
-    if not valid:
-        return None
-    result.provenance = "cached"
-    return result
+    return result if valid else None
 
 
 def _locally_least_zero_sum_free(witness: IndexedMultiset | None) -> bool:
@@ -271,8 +271,7 @@ def _lookup_or_compute(
     weight, scale = code_weights(group, spec.measure)
     value = Fraction(sum([weight[c] for c in codes]), scale)
     result = InvariantResult(
-        group, invariant, value, _witness_from_codes(group, codes), stats,
-        "computed", stats.complete,
+        group, invariant, value, _witness_from_codes(group, codes), stats, "computed"
     )
     if cache is not None and result.complete:
         cache.put_record(to_record(result))
@@ -743,8 +742,8 @@ def verify_family(
 
     The parameters the theorem names must all be given; p and q must be
     primes, and distinct when both are needed; m and n must be at least 1.
-    Anything else raises DomainError before any search. ``workers`` is
-    accepted and ignored, as in ``k1``.
+    Anything else, or a grid with no instance, raises DomainError before
+    any search. ``workers`` is accepted and ignored, as in ``k1``.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem!r}")
@@ -764,4 +763,7 @@ def verify_family(
     def search(compute, g: FiniteAbelianGroup) -> InvariantResult:
         return compute(g, cache=cache, budget=budget)
 
-    return FamilyReport(theorem, check(params, search))
+    instances = check(params, search)
+    if not instances:  # only gaowang's orders can hold no verified group
+        raise DomainError(f"{theorem}: no instance at orders {list(params['orders'])}")
+    return FamilyReport(theorem, instances)

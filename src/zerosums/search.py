@@ -14,8 +14,8 @@ own. The support itself is updated only on accepted nodes. Pruning uses the
 product bound (block sizes multiply to at most |G|, which also bounds the
 number of blocks still to come, as each has at least 2 elements) and an
 optimistic value bound against the incumbent. Measures are integer sums of
-code weights (``atoms.code_weights``); the value becomes a Fraction once,
-over the scale, in the outcome.
+code weights (``atoms.code_weights``). The outcome is the maximizer's codes
+and the search statistics; the caller works out its value.
 
 The search is seeded with a floor witness, a union the caller already
 holds, and its floor value is that witness's weight sum. The root branches
@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from .atoms import AtomCatalog, code_weights
@@ -65,7 +64,6 @@ class SearchStats:
 
 @dataclass
 class SearchOutcome:
-    value: Fraction
     witness_codes: tuple[int, ...]
     stats: SearchStats
 
@@ -81,15 +79,15 @@ def maximize_over_ufims(
     floor_witness_codes: Sequence[int],
     budget: Budget | None = None,
 ) -> SearchOutcome:
-    """Exact maximum of the measure over unique-factorization unions of
-    atoms, or the floor witness and its measure when no union beats it."""
+    """The least maximizer of the measure over unique-factorization unions
+    of atoms, or the floor witness when no union beats it."""
     n = group.order
     stats = SearchStats()
-    weight, scale = code_weights(group, kind)
+    weight = code_weights(group, kind)[0]
     floor_witness = tuple(sorted(floor_witness_codes))
     floor = sum([weight[c] for c in floor_witness])
     if n == 1 or catalog.count == 0:
-        return SearchOutcome(Fraction(floor, scale), floor_witness, stats)
+        return SearchOutcome(floor_witness, stats)
 
     table = group_table(group)
     table.fill_all()  # the search reads every code
@@ -176,4 +174,4 @@ def maximize_over_ufims(
     stats.nodes = nodes
     prunes = {"crossing": crossing, "product": product, "bound": bound}
     stats.prunes.update({k: v for k, v in prunes.items() if v})
-    return SearchOutcome(Fraction(best_value, scale), best_witness, stats)
+    return SearchOutcome(best_witness, stats)

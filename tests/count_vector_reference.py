@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from zerosums.atoms import AtomCatalog
 from zerosums.groups import FiniteAbelianGroup, group_table
-from zerosums.search import Budget, SearchOutcome, SearchStats
+from zerosums.search import Budget, SearchStats
 
 from subset_scan_reference import tables
+
+
+class Outcome(NamedTuple):
+    """A reference search's maximizer: its value, its codes and the
+    statistics of finding it."""
+
+    value: Fraction
+    witness_codes: tuple[int, ...]
+    stats: SearchStats
 
 
 class _BudgetHit(Exception):
@@ -97,12 +106,12 @@ def maximize_over_ufims(
     floor_value: Fraction,
     floor_witness_codes: tuple[int, ...],
     budget: Budget | None = None,
-) -> SearchOutcome:
+) -> Outcome:
     """Serial count-vector branch-and-bound; same visit order and counters."""
     n = group.order
     stats = SearchStats()
     if n == 1 or catalog.count == 0:
-        return SearchOutcome(floor_value, floor_witness_codes, stats)
+        return Outcome(floor_value, floor_witness_codes, stats)
     table = group_table(group)
     add = tables(group)[0]
     entries = []
@@ -182,7 +191,7 @@ def maximize_over_ufims(
         stats.complete = stats.complete and ok
         if value > best_value or (value == best_value and witness < best_witness):
             best_value, best_witness = value, witness
-    return SearchOutcome(best_value, best_witness, stats)
+    return Outcome(best_value, best_witness, stats)
 
 
 

@@ -194,6 +194,15 @@ def test_verify_rejects_malformed_order_range(capsys, orders):
     assert out == "" and "--orders" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_with_no_instance_is_a_usage_error(capsys, fmt):
+    code, out, err = run(
+        capsys, "verify", "--theorem", "gaowang", "--orders", "30..30", "--format", fmt
+    )
+    assert code == 2
+    assert out == "" and "gaowang: no instance at orders [30]" in err
+
+
 def test_verify_failure_exit_code(capsys):
     # A budget-starved search cannot certify the family, which must surface
     # as a verification failure, not a silent pass.

@@ -33,7 +33,7 @@ from zerosums import (
     upper_bounds,
     verify_family,
 )
-from zerosums.cache import ResultCache
+from zerosums.cache import ResultCache, dump_record
 from zerosums.errors import (
     ConstraintInapplicableError,
     DomainError,
@@ -239,6 +239,18 @@ def test_incomplete_results_not_cached(tmp_path):
     partial = k1(G(2, 2, 3), cache=cache, budget=Budget(max_nodes=5))
     assert not partial.complete
     assert ResultCache(tmp_path).get_record("2x6", "K1") is None
+
+
+@pytest.mark.parametrize("group", abelian_groups_up_to(12), ids=lambda g: g.key)
+def test_records_keep_their_completeness_through_a_round_trip(group):
+    # Every witnessed invariant, and the two searches stopped after one node.
+    one_node = Budget(max_nodes=1)
+    results = [spec.compute(group, None, None) for spec in INVARIANTS.values()]
+    results += [INVARIANTS[n].compute(group, None, one_node) for n in ("N1", "K1")]
+    for result in results:
+        back = from_record(group, to_record(result))
+        assert dump_record(to_record(back)) == dump_record(to_record(result))
+        assert back.stats.complete == back.complete == result.complete
 
 
 def test_searches_match_brute_force_maximizer():
@@ -485,6 +497,14 @@ def test_verify_family_mainthm_instances():
     assert verify_family("mainthm2", {"p": 2, "m": 2, "q": 3, "n": 1}).all_passed
     assert verify_family("n1k1", {"p": 2, "n": 2}).all_passed
     assert verify_family("maximal-split-pq", {"p": 2, "q": 3}).all_passed
+
+
+@pytest.mark.parametrize("order", [12, 30])
+def test_verify_family_refuses_a_grid_with_no_instance(order):
+    # No group of order 12 or 30 lies in a family with a proven K1.
+    message = rf"^gaowang: no instance at orders \[{order}\]$"
+    with pytest.raises(DomainError, match=message):
+        verify_family("gaowang", {"orders": range(order, order + 1)})
 
 
 @pytest.mark.parametrize(
