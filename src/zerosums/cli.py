@@ -77,24 +77,47 @@ class UsageError(ZerosumsError, ValueError):
 
 
 def parse_group_spec(spec: str) -> FiniteAbelianGroup:
-    """Comma-separated moduli; "p^e" tokens are allowed, e.g. "2^2,3"."""
+    """Comma-separated moduli; "p^e" tokens are allowed, e.g. "2^2,3".
+
+    The largest integer a command prints for a group is N1*, the sum of its
+    invariant factors. A group whose N1* has more decimal digits than Python
+    converts to a string is refused, and so is each token past that size, a
+    "p^e" token before its power is built. The limit is
+    sys.get_int_max_str_digits(), or its default of 4300 where it is off.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    too_large = UsageError(
+        f"group too large: N1*, the sum of its invariant factors, would have "
+        f"more than {digits} digits, the limit of sys.get_int_max_str_digits()"
+    )
     moduli = []
     for token in spec.split(","):
         token = token.strip()
         if not token:
             raise UsageError(f"empty token in group spec {spec!r}")
+        if len(token) > digits:
+            raise too_large
+        base, caret, exp = token.partition("^")
         try:
-            if "^" in token:
-                base, _, exp = token.partition("^")
-                moduli.append(int(base) ** int(exp))
-            else:
-                moduli.append(int(token))
+            base, exp = int(base), int(exp) if caret else 1
         except ValueError as exc:
             raise UsageError(f"malformed group spec token {token!r}") from exc
+        if exp < 0:
+            raise UsageError(f"negative exponent in group spec token {token!r}")
+        # |base|^exp has at least exp * (bit_length - 1) bits, and 4 > log2(10).
+        if exp * (base.bit_length() - 1) > 4 * digits:
+            raise too_large
+        moduli.append(base**exp)
+    bound = 10**digits
+    if any(abs(m) >= bound for m in moduli):
+        raise too_large
     try:
-        return normalize_group(moduli)
+        group = normalize_group(moduli)
     except ZerosumsError as exc:
         raise UsageError(str(exc)) from exc
+    if sum(group.invariant_factors) >= bound:
+        raise too_large
+    return group
 
 
 def parse_hom_spec(group: FiniteAbelianGroup, spec: str):
@@ -342,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget-nodes", type=int, default=None)
         p.add_argument("--budget-seconds", type=float, default=None)
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility and ignored; "
-                       "searches run on one thread")
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.add_argument("--verify-mode", action="store_true",
                        help="run both unique-factorization algorithms and compare")

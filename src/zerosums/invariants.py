@@ -335,13 +335,11 @@ def k1(
     *,
     cache: ResultCache | None = None,
     budget: Budget | None = None,
-    workers: int = 1,
 ) -> InvariantResult:
     """Exact maximum cross number over unique-factorization multisets.
 
     Full branch-and-bound search seeded with the componentwise tower witness;
     on budget exhaustion the incumbent is returned with complete=False.
-    The search runs on one thread; ``workers`` is accepted and ignored.
     """
     return _lookup_or_compute(group, "K1", cache, budget)
 
@@ -351,12 +349,8 @@ def narkiewicz_n1(
     *,
     cache: ResultCache | None = None,
     budget: Budget | None = None,
-    workers: int = 1,
 ) -> InvariantResult:
-    """Exact maximum size of a unique-factorization multiset.
-
-    The search runs on one thread; ``workers`` is accepted and ignored.
-    """
+    """Exact maximum size of a unique-factorization multiset."""
     return _lookup_or_compute(group, "N1", cache, budget)
 
 
@@ -735,7 +729,6 @@ def verify_family(
     *,
     cache: ResultCache | None = None,
     budget: Budget | None = None,
-    workers: int = 1,
 ) -> FamilyReport:
     """Check one theorem family of ``THEOREMS`` on a parameter grid by exact
     computation.
@@ -743,7 +736,7 @@ def verify_family(
     The parameters the theorem names must all be given; p and q must be
     primes, and distinct when both are needed; m and n must be at least 1.
     Anything else, or a grid with no instance, raises DomainError before
-    any search. ``workers`` is accepted and ignored, as in ``k1``.
+    any search.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem id {theorem!r}")

@@ -7,11 +7,16 @@ comparisons.
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
+import zerosums
 from zerosums import (
     Budget,
     IndexedMultiset,
@@ -399,26 +404,56 @@ def test_criterion_09_constraint_evaluator():
     finish(9, "constraint evaluator: corollary identity and monotone onset", failures)
 
 
-def test_criterion_10_determinism_across_workers(tmp_path, capsys):
+# Runs each K1 query through the CLI, each with a fresh cache directory under
+# argv[1], and prints one JSON list of [spec, exit code, stdout] triples.
+HASH_SEED_SCRIPT = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+from zerosums.cli import main
+
+root, specs = Path(sys.argv[1]), sys.argv[2:]
+runs = []
+for spec in specs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "invariant", "-g", spec, "-i", "K1", "--format", "json",
+            "--cache-dir", str(root / spec.replace(",", "_")),
+        ])
+    runs.append([spec, code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_criterion_10_determinism_across_hash_seeds(tmp_path):
     failures = []
     specs = [",".join(str(m) for m in spec) for spec, _ in K1_GOLDEN]
     specs += ["4,2", "2,2,3"]
-    for spec in specs:
-        outputs = []
-        for workers in (1, 4, 8):
-            cache_dir = tmp_path / f"run-{spec.replace(',', '_')}-{workers}"
-            code = cli_main(
-                [
-                    "invariant", "-g", spec, "-i", "K1",
-                    "--format", "json", "--workers", str(workers),
-                    "--cache-dir", str(cache_dir),
-                ]
-            )
-            out = capsys.readouterr().out
-            if code != 0:
-                failures.append(f"{spec} with {workers} workers exited {code}")
-            outputs.append(out)
-        if not (outputs[0] == outputs[1] == outputs[2]):
-            failures.append(f"reports differ across workers for {spec}")
-    with capsys.disabled():
-        finish(10, "byte-identical structured reports for 1, 4, 8 workers", failures)
+    src = str(Path(zerosums.__file__).resolve().parent.parent)
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        env.pop("ZEROSUMS_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, str(tmp_path / seed), *specs],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        if proc.returncode != 0:
+            failures.append(f"PYTHONHASHSEED={seed} exited {proc.returncode}")
+            continue
+        runs = json.loads(proc.stdout)
+        failures += [
+            f"{spec} exited {code} under PYTHONHASHSEED={seed}"
+            for spec, code, _ in runs
+            if code != 0
+        ]
+        outputs.append(proc.stdout)
+    if len(outputs) == 2 and outputs[0] != outputs[1]:
+        failures.append("reports differ across hash seeds")
+    finish(10, "byte-identical structured reports across hash seeds", failures)

@@ -9,7 +9,7 @@ import pytest
 from zerosums import cli, config, invariants
 from zerosums.atoms import clear_catalog_memory
 from zerosums.cache import ResultCache, open_cache
-from zerosums.cli import build_parser, main
+from zerosums.cli import build_parser, main, parse_group_spec
 from zerosums.constructions import extremal_ufim
 from zerosums.groups import normalize_group
 from zerosums.invariants import THEOREMS
@@ -106,6 +106,38 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, "invariant", "-g", "4x2", "-i", "D")[0] == 2
     assert run(capsys, "invariant", "-g", "1", "-i", "D")[0] == 2
     assert run(capsys, "invariant", "-g", "2^-1", "-i", "D")[0] == 2
+    assert run(capsys, "invariant", "-g", "0^-1", "-i", "D")[0] == 2
+
+
+# N1*, the sum of the invariant factors, may have up to 4300 digits, the
+# default of sys.get_int_max_str_digits(): 2^14284 has 4300, 2^14287 4301.
+DIGIT_LIMIT_CASES = {
+    "2^14284": 0,
+    "2^7000,2^7300": 0,
+    "1" + "0" * 4299: 0,
+    "2^14287": 2,
+    "2^7000,3^5000": 2,
+    "-2^14287": 2,
+    "1" + "0" * 4300: 2,
+    "2^9999999": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    DIGIT_LIMIT_CASES,
+    ids=lambda spec: spec if len(spec) < 20 else f"{len(spec)} digits",
+)
+def test_group_spec_digit_limit(capsys, spec):
+    code, out, err = run(
+        capsys, "invariant", "-g=" + spec, "-i", "Dstar", "--format", "json"
+    )
+    assert code == DIGIT_LIMIT_CASES[spec]
+    if code == 0:
+        factors = parse_group_spec(spec).invariant_factors
+        assert json.loads(out)["value"] == f"{sum(factors) - len(factors) + 1}/1"
+    else:
+        assert out == "" and "more than 4300 digits" in err and len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -343,20 +375,6 @@ def test_catalog_warm_cache_identical_values(tmp_path, capsys):
     assert "computed" in out1 and "cached" in out2
     strip = lambda text: text.replace("computed", "@").replace("cached", "@")
     assert strip(out1) == strip(out2)
-
-
-def test_structured_reports_identical_across_workers(tmp_path, capsys):
-    outputs = []
-    for workers in ("1", "4", "8"):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-g", "2,2,3", "-i", "K1",
-            "--format", "json", "--workers", workers,
-            "--cache-dir", str(tmp_path / f"w{workers}"),
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_truncated_cache_files_are_recomputed(tmp_path, capsys):

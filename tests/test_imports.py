@@ -1,9 +1,11 @@
 """A CLI process loads only what its command runs: mpmath for certified log
-bounds, on first use. Searches run on one thread whatever ``workers`` says,
-and no module of the package imports concurrent.futures, threading or
-multiprocessing. Each public name is declared once, in the ``__all__`` of
-the module that defines it, and the package re-exports those lists. Only
-the CLI's ``main`` sets a ``config`` field."""
+bounds, on first use. Searches run on one thread and take a ``Budget`` as
+their only option: no public callable has a ``workers`` parameter, no CLI
+command a ``--workers`` flag, and no module of the package imports
+concurrent.futures, threading or multiprocessing. Each public name is
+declared once, in the ``__all__`` of the module that defines it, and the
+package re-exports those lists. Only the CLI's ``main`` sets a ``config``
+field."""
 
 import ast
 import importlib
@@ -15,7 +17,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import zerosums
+from zerosums.cli import build_parser
 
 SRC = str(Path(zerosums.__file__).resolve().parent.parent)
 
@@ -56,12 +61,8 @@ code, out = run("invariant", "-g", "6", "-i", "bound:gaowang-log", "--format", "
 steps["bound"] = [code, json.loads(out)["value"], "mpmath" in sys.modules]
 
 from zerosums import k1, normalize_group
-from zerosums.invariants import to_record
-group = normalize_group([2, 4])
-serial = to_record(k1(group, workers=1))
+k1(normalize_group([2, 4]))
 steps["serial_search"] = "concurrent.futures" in sys.modules
-ignored = to_record(k1(group, workers=2))
-steps["workers_ignored"] = [ignored == serial, "concurrent.futures" in sys.modules]
 print(json.dumps(steps))
 """
 
@@ -88,7 +89,6 @@ def test_cli_loads_lazy_modules_only_on_first_use(tmp_path):
     # ln 6 + log2(6) / 2 = 3.0842..., rounded up to six digits.
     assert steps["bound"] == [0, "3084241/1000000", True]
     assert steps["serial_search"] is False
-    assert steps["workers_ignored"] == [True, False]
 
 
 POOL_MODULES = ("concurrent.futures", "threading", "multiprocessing")
@@ -113,6 +113,36 @@ def test_package_imports_no_thread_or_process_pool():
             if any(name == m or name.startswith(m + ".") for m in POOL_MODULES):
                 offenders.append(f"{path.name}: {name}")
     assert offenders == []
+
+
+def test_no_public_callable_takes_workers():
+    takers = []
+    for name in zerosums.__all__:
+        obj = getattr(zerosums, name)
+        if inspect.isclass(obj):
+            obj = obj.__init__
+        if inspect.isroutine(obj) and "workers" in inspect.signature(obj).parameters:
+            takers.append(name)
+    assert takers == []
+
+
+# Each CLI command with its required options.
+COMMANDS = (
+    ["invariant", "-g", "4", "-i", "K1"],
+    ["verify", "--theorem", "gaowang"],
+    ["decompose", "--multiset", "m.json", "--hom", "proj:0"],
+    ["catalog", "--max-order", "4"],
+)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_no_cli_command_takes_workers(argv, capsys):
+    parser = build_parser()
+    parser.parse_args(argv)
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([*argv, "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def config_writes(tree: ast.AST):

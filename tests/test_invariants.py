@@ -186,12 +186,6 @@ def test_search_order_cap(monkeypatch):
     assert k1(G(17)).value == 1
 
 
-def test_search_determinism_across_workers():
-    for group in (G(4), G(6), G(2, 2, 2)):
-        records = [to_record(k1(group, workers=w)) for w in (1, 2, 4, 8)]
-        assert all(r == records[0] for r in records)
-
-
 def test_budget_exhaustion_returns_incumbent():
     result = k1(G(2, 2, 3), budget=Budget(max_nodes=20))
     assert not result.complete

@@ -193,12 +193,13 @@ def test_floor_is_the_measure_of_the_floor_witness():
 
 
 @pytest.mark.parametrize("search", [k1, narkiewicz_n1])
-def test_node_budgeted_records_identical_across_workers(search):
+def test_node_budgeted_records_identical_across_runs(search):
     group = G(2, 8)
-    records = [
-        to_record(search(group, budget=Budget(max_nodes=20000), workers=w))
-        for w in (1, 2, 4)
-    ]
+    records = []
+    for _ in range(3):
+        clear_catalog_memory()
+        group_table.cache_clear()
+        records.append(to_record(search(group, budget=Budget(max_nodes=20000))))
     assert records[0]["incomplete"]
     assert records[0] == records[1] == records[2]
 
