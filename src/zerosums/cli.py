@@ -366,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-nodes", type=int, default=None)
         p.add_argument("--budget-seconds", type=float, default=None)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--verify-mode", action="store_true",
-                       help="run both unique-factorization algorithms and compare")
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default: $ZEROSUMS_CACHE_DIR)")
 
@@ -413,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = config.VERIFICATION_MODE
     try:
-        if args.verify_mode:
-            config.VERIFICATION_MODE = True
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
@@ -424,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     except ZerosumsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        config.VERIFICATION_MODE = saved
 
 
 if __name__ == "__main__":

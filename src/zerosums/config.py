@@ -1,16 +1,15 @@
-"""Runtime-tunable caps and switches.
+"""Runtime-tunable caps.
 
-Values are module level so tests and the CLI can adjust them in place.
+Values are module level so tests can adjust them in place; the library
+reads them and never sets them.
 """
 
 # Largest multiset built by disjoint_union or by IndexedMultiset.from_elements
 # without max_size, and largest one whose zero-sum subsets are listed.
 MAX_MULTISET_SIZE = 40
 
-# Verification mode cross-checks is_ufim against the intersection-closure
-# test only up to this size. Nothing else reads it: subset listing walks the
-# subset-sum supports at every size. It stays because the benchmark pins the
-# full config and its worker refuses to start on a missing field.
+# Nothing in the library reads this field; it stays because the benchmark
+# pins the full config and its worker refuses to start on a missing field.
 DIRECT_SCAN_LIMIT = 20
 
 # Listed zero-sum subsets per call before a resource-limit error.
@@ -31,5 +30,6 @@ ATOM_ORDER_CAP = 64
 # Exact K1 / N1 searches reject groups above this order.
 SEARCH_ORDER_CAP = 16
 
-# When on, unique-factorization tests run both algorithms and compare.
+# Nothing in the library reads this field; it stays because the benchmark
+# pins the full config and its worker refuses to start on a missing field.
 VERIFICATION_MODE = False

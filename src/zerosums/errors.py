@@ -9,7 +9,6 @@ __all__ = [
     "InvalidModulusError",
     "LemmaNotApplicableError",
     "NotUniqueFactorizationError",
-    "OracleDisagreementError",
     "PreconditionError",
     "ResourceLimitError",
     "ZerosumsError",
@@ -66,7 +65,3 @@ class ConstraintInapplicableError(ZerosumsError, ValueError):
 
 class CertificationError(ZerosumsError, RuntimeError):
     """An interval comparison could not be certified at maximum precision."""
-
-
-class OracleDisagreementError(ZerosumsError, AssertionError):
-    """Two independent algorithms disagreed; indicates a bug."""

@@ -35,8 +35,7 @@ part of B_j but not all of it, and peeling it and its complement gives a
 factorization without the block B_j. Counting
 factorizations (the definition) and the closure of the zero-sum subsets
 under intersection (the classical characterization) stay as independent
-oracles; verification mode checks ``is_ufim`` against the latter up to
-``config.DIRECT_SCAN_LIMIT`` elements.
+oracles, which the test suite compares ``is_ufim`` with.
 """
 
 from __future__ import annotations
@@ -45,12 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import config
-from .errors import (
-    NotUniqueFactorizationError,
-    OracleDisagreementError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from .errors import NotUniqueFactorizationError, PreconditionError, ResourceLimitError
 from .groups import group_table
 from .multisets import IndexedMultiset, IndexSubset, element_sum, sigma
 
@@ -366,26 +360,13 @@ def is_ufim_by_intersection(ms: IndexedMultiset) -> bool:
     return True
 
 
-def is_ufim(ms: IndexedMultiset, verify: bool | None = None) -> bool:
+def is_ufim(ms: IndexedMultiset) -> bool:
     """Whether ms factors uniquely into minimal zero-sum blocks.
 
-    Peels one factorization and tests its crossings, at every size. With
-    verification on, the answer is cross-checked against the
-    intersection-closure characterization up to ``config.DIRECT_SCAN_LIMIT``
-    elements.
+    Peels one factorization and tests its crossings, at every size.
     """
     _, codes, table = _codes(ms, "unique-factorization test")
-    if verify is None:
-        verify = config.VERIFICATION_MODE
-    answer = _peel(codes, table)[1] is None
-    if verify and ms.size <= config.DIRECT_SCAN_LIMIT:
-        other = is_ufim_by_intersection(ms)
-        if other != answer:
-            raise OracleDisagreementError(
-                f"unique-factorization algorithms disagree on {ms!r}: "
-                f"peeling={answer}, intersection={other}"
-            )
-    return answer
+    return _peel(codes, table)[1] is None
 
 
 def unique_factorization(ms: IndexedMultiset) -> Factorization:

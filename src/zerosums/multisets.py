@@ -28,16 +28,23 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class IndexedMultiset:
     """Elements of group under distinct labels. However the multiset is made,
-    each element is checked to be a tuple that ``group.contains`` accepts
-    (DomainError names the first non-element), so code that reads the
-    elements trusts them, and equality and hashing can compare them."""
+    the labels are checked to be strictly increasing ints, and each element
+    to be a tuple that ``group.contains`` accepts (DomainError names the
+    first bad label or non-element), so code that reads the items trusts
+    them, and equality and hashing can compare them."""
 
     group: FiniteAbelianGroup
     items: tuple[tuple[int, Element], ...]  # (label, element), sorted by label
 
     def __post_init__(self) -> None:
         contains = self.group.contains
-        for _, g in self.items:
+        previous = None
+        for label, g in self.items:
+            if not isinstance(label, int) or previous is not None and label <= previous:
+                raise DomainError(
+                    f"labels {self.labels!r} are not strictly increasing ints"
+                )
+            previous = label
             if not isinstance(g, tuple) or not contains(g):
                 raise DomainError(f"{g!r} is not an element of {self.group}")
 

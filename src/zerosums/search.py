@@ -43,14 +43,19 @@ __all__ = ["Budget"]
 
 @dataclass
 class Budget:
-    """Limits on one search; None is no limit, and a limit is at least 0."""
+    """Limits on one search; None is no limit, and a limit is at least 0.
+    The node limit is an int: the search stops when its count equals it."""
 
     max_nodes: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_nodes is not None and self.max_nodes < 0:
-            raise DomainError(f"node budget must be at least 0, got {self.max_nodes}")
+        if self.max_nodes is not None and not (
+            isinstance(self.max_nodes, int) and self.max_nodes >= 0
+        ):
+            raise DomainError(
+                f"node budget must be at least 0 and an int, got {self.max_nodes!r}"
+            )
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise DomainError(f"time budget must be at least 0, got {self.max_seconds}")
 

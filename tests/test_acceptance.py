@@ -81,7 +81,7 @@ def random_zero_sum(rng, group, max_size):
 def random_ufim(rng, group, max_size=8):
     while True:
         s = random_zero_sum(rng, group, max_size)
-        if is_ufim(s, verify=False):
+        if is_ufim(s):
             return s
 
 
@@ -194,7 +194,7 @@ def test_criterion_05_construction_postconditions():
             witness = gao_wang_extremal(p, m)  # asserts UFIM internally
             if cross_number(witness) != k1_star(G(p**m)):
                 failures.append(f"tower ({p},{m}) cross number off")
-            if not is_ufim(witness, verify=False):
+            if not is_ufim(witness):
                 failures.append(f"tower ({p},{m}) not unique-factorization")
             m += 1
     for order in range(2, 17):
@@ -206,6 +206,13 @@ def test_criterion_05_construction_postconditions():
     if elapsed >= 10:
         failures.append(f"took {elapsed:.1f}s (>= 10s)")
     finish(5, f"construction postconditions ({elapsed:.2f}s)", failures)
+
+
+def oracles_agree(s):
+    """is_ufim, the peel that answers, against both oracles: counting
+    factorizations (the definition) and intersection closure."""
+    by_count = count_factorizations(s, cap=2) == 1
+    return is_ufim(s) == by_count == is_ufim_by_intersection(s)
 
 
 def test_criterion_06_oracle_equivalence():
@@ -223,10 +230,8 @@ def test_criterion_06_oracle_equivalence():
                     if total != group.zero():
                         continue
                     s = IndexedMultiset.from_elements(group, combo)
-                    by_count = count_factorizations(s, cap=2) == 1
-                    by_meet = is_ufim_by_intersection(s)
                     checked += 1
-                    if by_count != by_meet:
+                    if not oracles_agree(s):
                         failures.append(f"disagree on {combo} over {group.key}")
     exhaustive = checked
 
@@ -235,16 +240,15 @@ def test_criterion_06_oracle_equivalence():
     for _ in range(10_000):
         group = rng.choice(groups)
         s = random_zero_sum(rng, group, 8)
-        by_count = count_factorizations(s, cap=2) == 1
-        by_meet = is_ufim_by_intersection(s)
-        if by_count != by_meet:
+        if not oracles_agree(s):
             failures.append(f"disagree on {s!r}")
     elapsed = time.monotonic() - start
     if elapsed >= 300:
         failures.append(f"took {elapsed:.0f}s (>= 5 min)")
     finish(
         6,
-        f"oracle equivalence: {exhaustive} exhaustive + 10000 random ({elapsed:.0f}s)",
+        f"is_ufim and both oracles agree: {exhaustive} exhaustive + 10000 random "
+        f"({elapsed:.0f}s)",
         failures,
     )
 
@@ -267,7 +271,7 @@ def test_criterion_07_property_suites():
         lifted = disjoint_union(
             s.without(chosen), IndexedMultiset.from_elements(group, [value])
         )
-        if not is_ufim(lifted, verify=False):
+        if not is_ufim(lifted):
             failures.append(f"lift failed: {s!r} minus {chosen}")
 
     # Zero-sum subsets of a unique-factorization multiset are block unions.

@@ -4,8 +4,8 @@ their only option: no public callable has a ``workers`` parameter, no CLI
 command a ``--workers`` flag, and no module of the package imports
 concurrent.futures, threading or multiprocessing. Each public name is
 declared once, in the ``__all__`` of the module that defines it, and the
-package re-exports those lists. Only the CLI's ``main`` sets a ``config``
-field."""
+package re-exports those lists. No module of the package sets a
+``config`` field, and no CLI command takes a ``--verify-mode`` flag."""
 
 import ast
 import importlib
@@ -135,14 +135,24 @@ COMMANDS = (
 )
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
-def test_no_cli_command_takes_workers(argv, capsys):
+def assert_flag_refused(argv, flag, capsys):
     parser = build_parser()
     parser.parse_args(argv)
     with pytest.raises(SystemExit) as exit_info:
-        parser.parse_args([*argv, "--workers", "2"])
+        parser.parse_args([*argv, *flag])
     assert exit_info.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_no_cli_command_takes_workers(argv, capsys):
+    assert_flag_refused(argv, ["--workers", "2"], capsys)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_no_cli_command_takes_verify_mode(argv, capsys):
+    # is_ufim has one path, so there is nothing to switch.
+    assert_flag_refused(argv, ["--verify-mode"], capsys)
 
 
 def config_writes(tree: ast.AST):
@@ -189,15 +199,14 @@ def config_writes(tree: ast.AST):
                 yield enclosing(node), name
 
 
-def test_only_cli_main_sets_a_config_field():
-    # The library reads its caps and switches from config and never sets
-    # them; the CLI sets only the switch of --verify-mode, and restores it.
+def test_no_module_sets_a_config_field():
+    # The library and the CLI read their caps from config and never set them.
     package = Path(zerosums.__file__).resolve().parent
     writes = set()
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         writes |= {(path.stem, *write) for write in config_writes(tree)}
-    assert writes == {("cli", "main", "VERIFICATION_MODE")}
+    assert writes == set()
 
 
 # -- the package surface ------------------------------------------------------

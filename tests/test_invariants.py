@@ -200,7 +200,14 @@ def test_time_budget_exhaustion():
 
 @pytest.mark.parametrize(
     "limits",
-    [{"max_nodes": -1}, {"max_seconds": -1.0}, {"max_seconds": float("nan")}],
+    [
+        {"max_nodes": -1},
+        {"max_seconds": -1.0},
+        {"max_seconds": float("nan")},
+        # The search stops when its node count equals the limit, which no
+        # count of 1.5 does.
+        {"max_nodes": 1.5},
+    ],
 )
 def test_a_negative_or_nan_budget_is_refused(limits):
     with pytest.raises(DomainError, match="must be at least 0"):

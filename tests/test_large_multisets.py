@@ -1,4 +1,5 @@
-"""Routes for multisets past the direct-scan limit, and cross-route checks."""
+"""Multisets past the size up to which the suite cross-checks is_ufim
+with the intersection oracle, and cross-route checks."""
 
 import random
 
@@ -16,6 +17,7 @@ from zerosums import (
 from zerosums import config
 from zerosums.errors import ResourceLimitError
 from zerosums.factorization import count_factorizations
+from conftest import CROSS_CHECK_LIMIT
 from ufim_vector_reference import ufim_by_multiplicity
 import subset_scan_reference as reference
 
@@ -23,7 +25,7 @@ import subset_scan_reference as reference
 def test_minimal_zero_sum_vector_route():
     c31 = normalize_group([31])
     ones = IndexedMultiset.from_elements(c31, [[1]] * 31, max_size=31)
-    assert ones.size > config.DIRECT_SCAN_LIMIT
+    assert ones.size > CROSS_CHECK_LIMIT
     assert is_minimal_zero_sum(ones)
 
     c32 = normalize_group([32])
@@ -45,7 +47,7 @@ def test_zero_sum_free_vector_route():
 def test_ufim_vector_route_on_tall_towers():
     c29 = normalize_group([29])
     tower = IndexedMultiset.from_elements(c29, [[1]] * 29, max_size=29)
-    assert tower.size > config.DIRECT_SCAN_LIMIT
+    assert tower.size > CROSS_CHECK_LIMIT
     assert is_ufim(tower)
     # 31 ones and two inverses sum to zero but pair up ambiguously.
     mixed = IndexedMultiset.from_elements(

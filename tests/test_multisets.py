@@ -256,3 +256,18 @@ def test_every_construction_path_holds_only_elements(group):
     for phi, image in zip(phis, made[3:]):
         assert image.elements() == tuple(reference.apply(phi, g) for g in good)
     assert made[-1] == nonzero
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(0, 0), (1, 0), (0, 1.0), ("a", "b")],
+    ids=["repeated", "decreasing", "float", "string-first"],
+)
+def test_labels_must_be_strictly_increasing_ints(labels):
+    # Every reader keys on the label: over C_4, (1, 3) under the label 0
+    # twice would factor as the one block [[1]], list {0} as a zero-sum
+    # subset, and keep one element in entries.
+    group = normalize_group([4])
+    elements = [group.element([1]), group.element([3])]
+    with pytest.raises(DomainError, match="strictly increasing ints"):
+        IndexedMultiset(group, tuple(zip(labels, elements)))

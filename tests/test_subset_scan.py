@@ -4,6 +4,7 @@ reference scans, plain set arithmetic and the pair-by-pair tables."""
 import re
 
 import peel_reference
+from conftest import CROSS_CHECK_LIMIT
 import subset_scan_reference as reference
 import pytest
 from hypothesis import given, settings
@@ -373,7 +374,7 @@ def test_predicates_on_a_group_above_256_elements(data):
     check_factorizations(closed)
 
 
-# -- answers past the direct-scan limit --------------------------------------
+# -- answers past the cross-check limit -------------------------------------
 
 
 def test_many_distinct_values_past_the_scan_limit():
@@ -382,7 +383,7 @@ def test_many_distinct_values_past_the_scan_limit():
     # nonzero. Too many multiplicity vectors for the vector route.
     els = [(h % 4, 1) for h in range(20)] + [(h % 4, 2) for h in range(20)]
     ms = IndexedMultiset.from_elements(C4_C64, els, max_size=40)
-    assert ms.size > config.DIRECT_SCAN_LIMIT
+    assert ms.size > CROSS_CHECK_LIMIT
     assert is_zero_sum_free(ms)
     closed = els + [C4_C64.neg(_sum(C4_C64, els))]
     atom = IndexedMultiset.from_elements(C4_C64, closed, max_size=41)
