@@ -18,13 +18,14 @@ code weights (``atoms.code_weights``). The outcome is the maximizer's codes
 and the search statistics; the caller works out its value.
 
 The search is seeded with a floor witness, a union the caller already
-holds, and its floor value is that witness's weight sum. The root branches
-(choices of first atom) run one after another, in order, on one thread.
-Each starts from its own incumbent seeded from the floor witness, not from
-the best value found so far, so the nodes a branch visits and prunes do not
-depend on the branches before it; the outcome is the best (value,
-canonically least witness) over the branches. A budget stops the search at
-the first branch that exhausts it.
+holds, and its floor value is that witness's weight sum. It is one
+depth-first walk from the empty union, on one thread, with one incumbent:
+the best (value, canonically least witness) found so far, starting from the
+floor witness. The root needs no case of its own: at product 1 neither the
+product cut nor a crossing (crossing masks leave out 0) can fire, nor can
+the value bound for a floor witness made of catalog atoms, which has at
+most log2|G| blocks. A budget stops the search at the node that would go
+past it, and the outcome is the incumbent at that point.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .groups import FiniteAbelianGroup, group_table
 __all__ = ["Budget"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Budget:
     """Limits on one search; None is no limit, and a limit is at least 0.
     The node limit is an int: the search stops when its count equals it."""
@@ -51,13 +52,22 @@ class Budget:
 
     def __post_init__(self) -> None:
         if self.max_nodes is not None and not (
-            isinstance(self.max_nodes, int) and self.max_nodes >= 0
+            isinstance(self.max_nodes, int)
+            and not isinstance(self.max_nodes, bool)
+            and self.max_nodes >= 0
         ):
             raise DomainError(
                 f"node budget must be at least 0 and an int, got {self.max_nodes!r}"
             )
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise DomainError(f"time budget must be at least 0, got {self.max_seconds}")
+        if self.max_seconds is not None and not (
+            isinstance(self.max_seconds, (int, float))
+            and not isinstance(self.max_seconds, bool)
+            and self.max_seconds >= 0
+        ):
+            raise DomainError(
+                "time budget must be at least 0 and an int or float, "
+                f"got {self.max_seconds!r}"
+            )
 
 
 @dataclass
@@ -111,33 +121,12 @@ def maximize_over_ufims(
         if budgeted and budget.max_seconds is not None
         else None
     )
-    best_value, best_witness = floor, floor_witness
+    inc_value, inc_witness = floor, floor_witness
     nodes = crossing = product = bound = 0
     chosen: list[int] = []
 
-    def spend() -> None:
-        """Refuse the next node once the budget is spent."""
-        if nodes == max_nodes or (
-            deadline is not None and time.monotonic() > deadline
-        ):
-            raise _BudgetHit
-
-    def accept(j: int, prod: int, value: int, supp: int):
-        """Take atom j as the next block and search the extensions."""
-        nonlocal inc_value, inc_witness
-        block = codes[j]
-        chosen.extend(block)
-        value += measures[j]
-        if value >= inc_value:
-            witness = tuple(sorted(chosen))
-            if value > inc_value or witness < inc_witness:
-                inc_value = value
-                inc_witness = witness
-        dfs(j, prod * lengths[j], value, minkowski(supp, block))
-        del chosen[-len(block) :]
-
     def dfs(min_idx: int, prod: int, value: int, supp: int):
-        nonlocal nodes, crossing, product, bound
+        nonlocal inc_value, inc_witness, nodes, crossing, product, bound
         # Blocks left room for: each has at least 2 elements, and the sizes
         # of all blocks multiply to at most |G|.
         slots = (n // prod).bit_length() - 1
@@ -150,33 +139,34 @@ def maximize_over_ufims(
             if prod * lengths[j] > n:
                 product += 1
                 break
-            if budgeted:
-                spend()
+            if budgeted and (
+                nodes == max_nodes
+                or (deadline is not None and time.monotonic() > deadline)
+            ):
+                raise _BudgetHit
             nodes += 1
             if supp & crossers[j]:
                 crossing += 1
                 continue
-            accept(j, prod, value, supp)
+            block = codes[j]
+            chosen.extend(block)
+            extended = value + measures[j]
+            if extended >= inc_value:
+                witness = tuple(sorted(chosen))
+                if extended > inc_value or witness < inc_witness:
+                    inc_value = extended
+                    inc_witness = witness
+            dfs(j, prod * lengths[j], extended, minkowski(supp, block))
+            del chosen[-len(block) :]
 
-    for first in range(count):
-        inc_value, inc_witness = floor, floor_witness
-        try:
-            spend()
-            nodes += 1  # a single atom always has unique factorization
-            accept(first, 1, 0, 1)
-        except _BudgetHit:
-            stats.complete = False
-        if inc_value > best_value or (
-            inc_value == best_value and inc_witness < best_witness
-        ):
-            best_value = inc_value
-            best_witness = inc_witness
-        if not stats.complete:
-            break
-    # accept and dfs hold each other through their closures; dropping the
-    # names frees the cycle, and the tables it holds, at once.
-    del accept, dfs
+    try:
+        dfs(0, 1, 0, 1)
+    except _BudgetHit:
+        stats.complete = False
+    # dfs holds itself through its closure; dropping the name frees the
+    # cycle, and the tables it holds, at once.
+    del dfs
     stats.nodes = nodes
     prunes = {"crossing": crossing, "product": product, "bound": bound}
     stats.prunes.update({k: v for k, v in prunes.items() if v})
-    return SearchOutcome(best_witness, stats)
+    return SearchOutcome(inc_witness, stats)

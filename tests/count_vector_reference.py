@@ -128,71 +128,42 @@ def maximize_over_ufims(
     for i in range(len(entries) - 1, -1, -1):
         suffix_max[i] = max(entries[i][2], suffix_max[i + 1])
     budget_state = _BudgetState(budget)
+    best = [floor_value, tuple(sorted(floor_witness_codes))]
+    chosen: list[int] = []
 
-    def run_branch(first: int):
-        local = SearchStats()
-        best = [floor_value, tuple(sorted(floor_witness_codes))]
-        chosen: list[int] = []
-
-        def consider(value: Fraction) -> None:
-            if value < best[0]:
-                return
-            witness = tuple(sorted(chosen))
-            if value > best[0] or witness < best[1]:
-                best[:] = [value, witness]
-
-        def dfs(min_idx: int, m: int, prod: int, value: Fraction, cnt: list[int]):
-            slots = min(m_cap - m, (n // prod).bit_length() - 1)
-            if slots <= 0:
-                return
-            if value + slots * suffix_max[min_idx] < best[0]:
-                local.prunes["bound"] += 1
-                return
-            for j in range(min_idx, len(entries)):
-                length, codes, measure = entries[j]
-                if prod * length > n:
-                    local.prunes["product"] += 1
-                    break
-                nxt = extend_counts(cnt, codes, add)
-                budget_state.spend()
-                local.nodes += 1
-                if nxt[0] != 1 << (m + 1):
-                    local.prunes["crossing"] += 1
-                    continue
-                chosen.extend(codes)
-                consider(value + measure)
-                dfs(j, m + 1, prod * length, value + measure, nxt)
-                del chosen[len(chosen) - length :]
-
-        finished = True
-        try:
-            root = [0] * n
-            root[0] = 1
-            length, codes, measure = entries[first]
-            nxt = extend_counts(root, codes, add)
+    def dfs(min_idx: int, m: int, prod: int, value: Fraction, cnt: list[int]):
+        slots = min(m_cap - m, (n // prod).bit_length() - 1)
+        if slots <= 0:
+            return
+        if value + slots * suffix_max[min_idx] < best[0]:
+            stats.prunes["bound"] += 1
+            return
+        for j in range(min_idx, len(entries)):
+            length, codes, measure = entries[j]
+            if prod * length > n:
+                stats.prunes["product"] += 1
+                break
+            nxt = extend_counts(cnt, codes, add)
             budget_state.spend()
-            local.nodes += 1
-            if nxt[0] != 2:
-                local.prunes["crossing"] += 1
-            else:
-                chosen.extend(codes)
-                consider(measure)
-                dfs(first, 1, length, measure, nxt)
-        except _BudgetHit:
-            finished = False
-        return best[0], best[1], local, finished
+            stats.nodes += 1
+            if nxt[0] != 1 << (m + 1):
+                stats.prunes["crossing"] += 1
+                continue
+            chosen.extend(codes)
+            extended = value + measure
+            witness = tuple(sorted(chosen))
+            if extended > best[0] or (extended == best[0] and witness < best[1]):
+                best[:] = [extended, witness]
+            dfs(j, m + 1, prod * length, extended, nxt)
+            del chosen[len(chosen) - length :]
 
-    best_value = floor_value
-    best_witness = tuple(sorted(floor_witness_codes))
-    for first in range(len(entries)):
-        value, witness, local, ok = run_branch(first)
-        stats.nodes += local.nodes
-        stats.prunes.update(local.prunes)
-        stats.complete = stats.complete and ok
-        if value > best_value or (value == best_value and witness < best_witness):
-            best_value, best_witness = value, witness
-    return Outcome(best_value, best_witness, stats)
-
+    root = [0] * n
+    root[0] = 1
+    try:
+        dfs(0, 0, 1, Fraction(0), root)
+    except _BudgetHit:
+        stats.complete = False
+    return Outcome(best[0], best[1], stats)
 
 
 def iter_ufims(

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -207,11 +208,24 @@ def test_time_budget_exhaustion():
         # The search stops when its node count equals the limit, which no
         # count of 1.5 does.
         {"max_nodes": 1.5},
+        # A bool is an int to isinstance, but True is not a count of nodes
+        # or of seconds; a string is not a number of seconds.
+        {"max_nodes": True},
+        {"max_nodes": False},
+        {"max_seconds": True},
+        {"max_seconds": "5"},
     ],
 )
 def test_a_negative_or_nan_budget_is_refused(limits):
     with pytest.raises(DomainError, match="must be at least 0"):
         Budget(**limits)
+
+
+def test_a_budget_cannot_be_changed_past_its_checks():
+    # Assigned after construction, 1.5 nodes would run K1 of 2x4 to the end.
+    budget = Budget(max_nodes=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        budget.max_nodes = 1.5
 
 
 def test_record_round_trip_and_cache(tmp_path):

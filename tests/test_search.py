@@ -157,22 +157,41 @@ def test_search_matches_count_vectors(group):
 
 
 def test_budgeted_search_matches_count_vectors():
-    group = G(2, 4)
+    # Where a node budget stops the one walk, and the incumbent it leaves,
+    # for every small group, both measures and both floors.
+    for group in SMALL_GROUPS:
+        catalog = atom_catalog(group)
+        for kind in ("cross", "size"):
+            for floor in (_floor(group, kind), (Fraction(0), ())):
+                for nodes in (0, 1, 10, 100, 1000):
+                    budget = Budget(max_nodes=nodes)
+                    got = maximize_over_ufims(
+                        group, catalog, kind, floor[1], budget=budget
+                    )
+                    want = reference.maximize_over_ufims(
+                        group, catalog, kind, *floor, budget=budget
+                    )
+                    assert (value_of(group, kind, got), got.witness_codes) == (
+                        want.value, want.witness_codes
+                    ), (group.key, kind, floor, nodes)
+                    assert (
+                        got.stats.nodes, got.stats.prunes, got.stats.complete
+                    ) == (
+                        want.stats.nodes, want.stats.prunes, want.stats.complete
+                    ), (group.key, kind, floor, nodes)
+
+
+@given(
+    st.sampled_from(abelian_groups_up_to(16)), st.sampled_from(["cross", "size"])
+)
+def test_the_floor_moves_no_maximizer(group, kind):
+    # The floor only prunes: from the public floor or from the empty one,
+    # the search ends on the same value and least maximizer.
     catalog = atom_catalog(group)
-    floor = _floor(group, "cross")
-    for nodes in (0, 1, 50, 400):
-        got = maximize_over_ufims(
-            group, catalog, "cross", floor[1], budget=Budget(max_nodes=nodes)
-        )
-        want = reference.maximize_over_ufims(
-            group, catalog, "cross", *floor, budget=Budget(max_nodes=nodes)
-        )
-        assert (value_of(group, "cross", got), got.witness_codes) == (
-            want.value, want.witness_codes
-        )
-        assert (got.stats.nodes, got.stats.prunes, got.stats.complete) == (
-            want.stats.nodes, want.stats.prunes, want.stats.complete
-        )
+    seeded = maximize_over_ufims(group, catalog, kind, _floor(group, kind)[1])
+    empty = maximize_over_ufims(group, catalog, kind, ())
+    assert seeded.witness_codes == empty.witness_codes
+    assert value_of(group, kind, seeded) == value_of(group, kind, empty)
 
 
 def test_floor_is_the_measure_of_the_floor_witness():
